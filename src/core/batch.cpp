@@ -109,27 +109,23 @@ BatchRunResult run_fused(std::vector<BatchJob>& jobs,
     }
   }
 
-  // Prepare: per-job pack + plan with that job's own Options.  Reserve up
+  // Prepare: per-job pack + plan with that job's own Options.  Every job
+  // packs straight from its A (rhs jobs never write it: their factors go
+  // to a separate LU workspace at unpack time, gesv-style).  Reserve up
   // front — GetrfJob keeps a reference to its PackedMatrix element.
   const std::size_t n = jobs.size();
-  std::vector<layout::Matrix> lu(n);  // rhs jobs factor a copy, gesv-style
   std::vector<layout::PackedMatrix> packed;
   packed.reserve(n);
   std::vector<GetrfJob> prepared;
   prepared.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
     BatchJob& job = jobs[i];
-    layout::Matrix* src = job.a;
-    if (job.rhs != nullptr) {
-      assert(job.a->rows() == job.a->cols() &&
-             job.a->rows() == job.rhs->rows());
-      lu[i] = *job.a;
-      src = &lu[i];
-    }
+    assert(job.rhs == nullptr || (job.a->rows() == job.a->cols() &&
+                                  job.a->rows() == job.rhs->rows()));
     Options& o = job.options;
     o.b = o.resolved_b();  // the fused path owns the packing, like getrf
     packed.push_back(
-        layout::PackedMatrix::pack(*src, o.layout, o.b, o.resolved_grid(),
+        layout::PackedMatrix::pack(*job.a, o.layout, o.b, o.resolved_grid(),
                                    owner_runner_from(o, session.team())));
     prepared.emplace_back(packed.back(), o);
   }
@@ -161,7 +157,8 @@ BatchRunResult run_fused(std::vector<BatchJob>& jobs,
     out.factorization.stats.factor_seconds = fr.jobs[i].completed_at;
     out.completed_at = fr.jobs[i].completed_at;
     if (job.rhs != nullptr) {
-      packed[i].unpack(lu[i]);
+      layout::Matrix lu;
+      unpack_factors(packed[i], lu, job.options, session.team());
       SolveResult sr;
       sr.factorization = std::move(out.factorization);
       if (job.options.precision == Precision::Float32) {
@@ -169,10 +166,10 @@ BatchRunResult run_fused(std::vector<BatchJob>& jobs,
         // result — fused attribution included — is replaced by the
         // double re-solve's stats: the factors the caller gets really
         // did come from that run, not the fused one.
-        refine_mixed(*job.a, *job.rhs, lu[i], job.options, session, sr);
+        refine_mixed(*job.a, *job.rhs, lu, job.options, session, sr);
       } else {
-        solve_factored(*job.a, *job.rhs, lu[i], sr.factorization.ipiv,
-                       job.options.max_refine, sr);
+        solve_factored(*job.a, *job.rhs, lu, sr.factorization.ipiv,
+                       job.options.max_refine, sr, 0.0, &session.team());
       }
       out.factorization = std::move(sr.factorization);
       out.x = std::move(sr.x);
@@ -180,7 +177,7 @@ BatchRunResult run_fused(std::vector<BatchJob>& jobs,
       out.residual = sr.residual;
       out.used_fallback = sr.used_fallback;
     } else {
-      packed[i].unpack(*job.a);
+      unpack_factors(packed[i], *job.a, job.options, session.team());
     }
   }
 

@@ -577,8 +577,26 @@ Factorization getrf(layout::PackedMatrix& a, const Options& opt,
   return getrf(a, opt, ephemeral);
 }
 
-Factorization getrf(layout::Matrix& a, const Options& opt_in,
-                    sched::Session& session) {
+int team_share(std::size_t bytes, int team_size) {
+  constexpr std::size_t kBytesPerThread = std::size_t{1} << 20;
+  const std::size_t share = bytes / kBytesPerThread;
+  return static_cast<int>(std::clamp<std::size_t>(
+      share, 1, static_cast<std::size_t>(std::max(team_size, 1))));
+}
+
+void unpack_factors(const layout::PackedMatrix& p, layout::Matrix& lu,
+                    const Options& opt, sched::ThreadTeam& team) {
+  const layout::Tiling& t = p.tiling();
+  if (lu.rows() != t.m || lu.cols() != t.n)
+    lu = layout::Matrix::uninitialized(t.m, t.n);
+  const std::size_t bytes = sizeof(double) * static_cast<std::size_t>(t.m) *
+                            static_cast<std::size_t>(t.n);
+  const bool spread = team_share(bytes, team.size()) > 1;
+  p.unpack(lu, spread ? owner_runner_from(opt, team) : layout::OwnerRunner{});
+}
+
+Factorization getrf(const layout::Matrix& a, layout::Matrix& lu,
+                    const Options& opt_in, sched::Session& session) {
   // The Matrix-level driver owns the packing, so it is the one place the
   // tuned tile size can be applied: materialize it into `b` before the
   // pack (GetrfJob's b-match contract then holds by construction).
@@ -588,8 +606,13 @@ Factorization getrf(layout::Matrix& a, const Options& opt_in,
       layout::PackedMatrix::pack(a, opt.layout, opt.b, opt.resolved_grid(),
                                  owner_runner_from(opt, session.team()));
   Factorization f = getrf(p, opt, session);
-  p.unpack(a);
+  unpack_factors(p, lu, opt, session.team());
   return f;
+}
+
+Factorization getrf(layout::Matrix& a, const Options& opt,
+                    sched::Session& session) {
+  return getrf(a, a, opt, session);
 }
 
 Factorization getrf(layout::Matrix& a, const Options& opt) {

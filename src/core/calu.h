@@ -13,6 +13,7 @@
 // related-work baseline.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -238,6 +239,30 @@ Factorization getrf(layout::Matrix& a, const Options& opt);
 /// Session variant of the column-major convenience driver.
 Factorization getrf(layout::Matrix& a, const Options& opt,
                     sched::Session& session);
+
+/// Out-of-place column-major driver: packs straight from `a` (only
+/// read — no defensive copy), factors, and unpacks the combined L and U
+/// factors into `lu` through unpack_factors().  `lu` may be `a` itself,
+/// which is exactly the in-place driver above.
+Factorization getrf(const layout::Matrix& a, layout::Matrix& lu,
+                    const Options& opt, sched::Session& session);
+
+/// Writes the factored `p` into `lu` (column-major), first allocating it
+/// with Matrix::uninitialized when its shape differs from p's.  Above
+/// the team_share() floor the copy-out runs owner-parallel on `team`
+/// through owner_runner_from(); below it (and with first_touch off) it
+/// stays on the caller.  The bits are the same either way.
+void unpack_factors(const layout::PackedMatrix& p, layout::Matrix& lu,
+                    const Options& opt, sched::ThreadTeam& team);
+
+/// How many team threads a streaming pass over `bytes` of matrix data
+/// (the factor unpack, the solve residual) is spread across: one per
+/// MiB, capped at `team_size`, never below 1.  1 means the pass stays on
+/// the calling thread, so small jobs — a batch of n <= ~360 systems —
+/// pay no team dispatch for their epilogue.  A fixed internal floor, not
+/// an Options knob: the passes are memory-bound and the crossover is a
+/// property of dispatch cost versus bandwidth, not of the caller.
+int team_share(std::size_t bytes, int team_size);
 
 /// `opt` with the tuner's problem-size key stamped from the matrix shape
 /// (min(m, n)) when tuning is on and the caller left tune_n at 0 — the

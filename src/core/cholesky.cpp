@@ -233,7 +233,7 @@ Factorization potrf(layout::Matrix& a, const Options& opt_in,
       layout::PackedMatrix::pack(a, opt.layout, opt.b, opt.resolved_grid(),
                                  owner_runner_from(opt, session.team()));
   Factorization f = potrf(p, opt, session);
-  p.unpack(a);
+  unpack_factors(p, a, opt, session.team());
   return f;
 }
 

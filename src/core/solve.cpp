@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cmath>
 #include <limits>
+#include <vector>
 
 #include "src/blas/blas.h"
 
@@ -23,11 +24,69 @@ void getrs(const layout::Matrix& lu, util::Span<const int> ipiv,
              b.data(), b.ld());
 }
 
-double solve_residual(const layout::Matrix& a, const layout::Matrix& x,
-                      const layout::Matrix& b) {
-  layout::Matrix r = b;
-  blas::gemm(blas::Trans::No, blas::Trans::No, a.rows(), x.cols(), a.cols(),
-             1.0, a.data(), a.ld(), x.data(), x.ld(), -1.0, r.data(), r.ld());
+namespace {
+
+/// Rows per cache block of the residual pass: a block's slice of r and
+/// its row sums stay in L1 while the block's rows of A stream past once.
+constexpr int kResidualRowBlock = 512;
+
+/// r(i0:i1, :) = b - A x and, when `rowsum` is non-null, rowsum[i] =
+/// sum_k |A(i, k)|, in one column-ordered pass over rows [i0, i1) of A.
+/// Each r(i, j) and rowsum[i] accumulates over k ascending with a
+/// separately rounded multiply and subtract (this TU is built with
+/// -ffp-contract=off), so a row's bits never depend on which other rows
+/// share its pass: every row split reproduces the serial result.  The
+/// row-sum order is blas::norm_inf's, so max(rowsum) is its ||A||_inf.
+void residual_rows(const layout::Matrix& a, const layout::Matrix& x,
+                   const layout::Matrix& b, layout::Matrix& r,
+                   double* rowsum, int i0, int i1) {
+  const int n = a.cols(), nrhs = x.cols();
+  const std::size_t lda = a.ld(), ldr = r.ld(), ldb = b.ld();
+  for (int ib = i0; ib < i1; ib += kResidualRowBlock) {
+    const int ie = std::min(i1, ib + kResidualRowBlock);
+    for (int j = 0; j < nrhs; ++j)
+      std::copy(b.data() + ib + j * ldb, b.data() + ie + j * ldb,
+                r.data() + ib + j * ldr);
+    if (rowsum != nullptr) std::fill(rowsum + ib, rowsum + ie, 0.0);
+    for (int k = 0; k < n; ++k) {
+      const double* ak = a.data() + k * lda;
+      if (rowsum != nullptr)
+        for (int i = ib; i < ie; ++i) rowsum[i] += std::fabs(ak[i]);
+      for (int j = 0; j < nrhs; ++j) {
+        const double xkj = x(k, j);
+        double* rj = r.data() + j * ldr;
+        for (int i = ib; i < ie; ++i) rj[i] -= ak[i] * xkj;
+      }
+    }
+  }
+}
+
+/// residual_rows over all of A, split by rows over `team` when the
+/// matrix is above the team_share() floor (and `team` is given).
+void residual_pass(const layout::Matrix& a, const layout::Matrix& x,
+                   const layout::Matrix& b, layout::Matrix& r,
+                   double* rowsum, sched::ThreadTeam* team) {
+  const int m = a.rows();
+  const std::size_t bytes = sizeof(double) * static_cast<std::size_t>(m) *
+                            static_cast<std::size_t>(a.cols());
+  const int nt = team != nullptr ? team_share(bytes, team->size()) : 1;
+  if (nt <= 1) {
+    residual_rows(a, x, b, r, rowsum, 0, m);
+    return;
+  }
+  // Chunks on whole cache lines of r, so neighbours never share one.
+  const int chunk = ((m + nt - 1) / nt + 7) / 8 * 8;
+  team->run([&](int tid) {
+    const int i0 = std::min(m, tid * chunk);
+    const int i1 = std::min(m, i0 + chunk);
+    if (i0 < i1) residual_rows(a, x, b, r, rowsum, i0, i1);
+  });
+}
+
+/// ||r||_inf / (||A||_inf ||x||_inf + ||b||_inf), NaN when r holds a
+/// non-finite value.
+double normalized_residual(const layout::Matrix& r, double norm_a,
+                           const layout::Matrix& x, const layout::Matrix& b) {
   // A non-finite residual (singular pivot ⇒ x holds inf/NaN) must report
   // as NaN: max-based norms silently skip NaN compares, which used to make
   // a garbage solution look *perfectly converged* (residual 0).
@@ -35,35 +94,57 @@ double solve_residual(const layout::Matrix& a, const layout::Matrix& x,
     for (int i = 0; i < r.rows(); ++i)
       if (!std::isfinite(r(i, j)))
         return std::numeric_limits<double>::quiet_NaN();
-  const double na = blas::norm_inf(a.rows(), a.cols(), a.data(), a.ld());
   const double nx = blas::norm_inf(x.rows(), x.cols(), x.data(), x.ld());
   const double nb = blas::norm_inf(b.rows(), b.cols(), b.data(), b.ld());
   const double nr = blas::norm_inf(r.rows(), r.cols(), r.data(), r.ld());
-  const double denom = na * nx + nb;
+  const double denom = norm_a * nx + nb;
   return denom > 0.0 ? nr / denom : nr;
+}
+
+/// r = b - A x with the row sums of |A|, returning ||A||_inf.
+double residual_and_norm(const layout::Matrix& a, const layout::Matrix& x,
+                         const layout::Matrix& b, layout::Matrix& r,
+                         sched::ThreadTeam* team) {
+  std::vector<double> rowsum(static_cast<std::size_t>(a.rows()));
+  residual_pass(a, x, b, r, rowsum.data(), team);
+  double norm_a = 0.0;
+  for (double s : rowsum) norm_a = std::max(norm_a, s);
+  return norm_a;
+}
+
+}  // namespace
+
+double solve_residual(const layout::Matrix& a, const layout::Matrix& x,
+                      const layout::Matrix& b) {
+  layout::Matrix r = layout::Matrix::uninitialized(b.rows(), b.cols());
+  const double norm_a = residual_and_norm(a, x, b, r, nullptr);
+  return normalized_residual(r, norm_a, x, b);
 }
 
 void solve_factored(const layout::Matrix& a, const layout::Matrix& b,
                     const layout::Matrix& lu, util::Span<const int> ipiv,
-                    int max_refine, SolveResult& res, double stall_ratio) {
+                    int max_refine, SolveResult& res, double stall_ratio,
+                    sched::ThreadTeam* team) {
   res.x = b;
   getrs(lu, ipiv, res.x);
-  res.residual = solve_residual(a, res.x, b);
+  // r = b - A x, kept across steps: the residual that scores x is also
+  // the right-hand side of the next correction.  ||A||_inf is x-free, so
+  // it is taken once, in the same pass as the first residual.
+  layout::Matrix r = layout::Matrix::uninitialized(b.rows(), b.cols());
+  const double norm_a = residual_and_norm(a, res.x, b, r, team);
+  res.residual = normalized_residual(r, norm_a, res.x, b);
 
   for (int it = 0; it < max_refine; ++it) {
     if (res.residual < 1e-15) break;
     if (stall_ratio > 0.0 && !std::isfinite(res.residual)) break;
     const double prev = res.residual;
-    // r = b - A x; solve A d = r; x += d.
-    layout::Matrix r = b;
-    blas::gemm(blas::Trans::No, blas::Trans::No, a.rows(), b.cols(), a.cols(),
-               -1.0, a.data(), a.ld(), res.x.data(), res.x.ld(), 1.0,
-               r.data(), r.ld());
+    // Solve A d = r; x += d.
     getrs(lu, ipiv, r);
     for (int j = 0; j < res.x.cols(); ++j)
       for (int i = 0; i < res.x.rows(); ++i) res.x(i, j) += r(i, j);
     ++res.refine_steps;
-    res.residual = solve_residual(a, res.x, b);
+    residual_pass(a, res.x, b, r, nullptr, team);
+    res.residual = normalized_residual(r, norm_a, res.x, b);
     // Stalled or diverging refinement never converges later (each step is
     // a fixed-point iteration with constant contraction rate): stop here.
     if (stall_ratio > 0.0 && !(res.residual < stall_ratio * prev)) break;
@@ -106,7 +187,7 @@ void refine_mixed(const layout::Matrix& a, const layout::Matrix& b,
   bool fallback = factors_pathological(a, lu);
   if (!fallback) {
     solve_factored(a, b, lu, res.factorization.ipiv, opt.max_refine, res,
-                   kMixedStallRatio);
+                   kMixedStallRatio, &session.team());
     // Double-quality backward error or bust.  max_refine = 0 means the
     // caller asked for the float-accuracy solution: accept it unless the
     // solve itself produced non-finite values.
@@ -135,8 +216,8 @@ SolveResult gesv_mixed(const layout::Matrix& a, const layout::Matrix& b,
   SolveResult res;
   Options fopt = opt;
   fopt.precision = Precision::Float32;
-  layout::Matrix lu = a;
-  res.factorization = getrf(lu, fopt, session);  // float-accuracy factors
+  layout::Matrix lu;
+  res.factorization = getrf(a, lu, fopt, session);  // float-accuracy factors
   refine_mixed(a, b, lu, opt, session, res);
   return res;
 }
@@ -151,9 +232,10 @@ SolveResult gesv(const layout::Matrix& a, const layout::Matrix& b,
                  const Options& opt, sched::Session& session) {
   assert(a.rows() == a.cols() && a.rows() == b.rows());
   SolveResult res;
-  layout::Matrix lu = a;
-  res.factorization = getrf(lu, opt, session);
-  solve_factored(a, b, lu, res.factorization.ipiv, opt.max_refine, res);
+  layout::Matrix lu;
+  res.factorization = getrf(a, lu, opt, session);
+  solve_factored(a, b, lu, res.factorization.ipiv, opt.max_refine, res, 0.0,
+                 &session.team());
   return res;
 }
 

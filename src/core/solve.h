@@ -20,6 +20,8 @@ void getrs(const layout::Matrix& lu, util::Span<const int> ipiv,
 /// (||A||_inf ||x||_inf + ||b||_inf) — the standard backward-error metric.
 /// NaN when the residual contains non-finite values (a singular pivot
 /// poisons x with inf/NaN; the metric must not report that as converged).
+/// Computed by the same one-pass residual solve_factored uses (serial
+/// here), so it returns solve_factored's bits for the same x.
 double solve_residual(const layout::Matrix& a, const layout::Matrix& x,
                       const layout::Matrix& b);
 
@@ -43,16 +45,40 @@ struct SolveResult {
 /// `stall_ratio` > 0 additionally stops refining when a step fails to
 /// shrink the residual below stall_ratio x the previous one (or turns it
 /// non-finite) — the signal gesv_mixed uses to give up on float factors
-/// early instead of burning the full step budget.  The default 0 keeps the
-/// historical behavior bit-for-bit.
+/// early instead of burning the full step budget.  The default 0 refines
+/// until converged or out of steps.
+///
+/// The residual r = b - A x and the row sums of |A| come from ONE
+/// column-ordered pass over A: ||A||_inf is taken once per solve, and a
+/// refinement step solves for its correction from the r that scored the
+/// previous x instead of forming a second product.  With `team` given and
+/// A above the team_share() floor (~1 MiB per thread) the pass is split
+/// by rows over the team; below the floor, or with no team, it runs on
+/// the caller.  Each row accumulates over the columns in ascending order
+/// with separately rounded multiplies and subtracts (no FMA contraction),
+/// so a row's bits do not depend on the split: with or without a team,
+/// at any team size, x and the residual are bit-identical.
 void solve_factored(const layout::Matrix& a, const layout::Matrix& b,
                     const layout::Matrix& lu, util::Span<const int> ipiv,
                     int max_refine, SolveResult& res,
-                    double stall_ratio = 0.0);
+                    double stall_ratio = 0.0,
+                    sched::ThreadTeam* team = nullptr);
 
 /// Factor with CALU (per `opt`) and solve A x = b with up to
 /// opt.max_refine steps of iterative refinement in double precision.
 /// One-shot: spawns an ephemeral session (thread team) for the call.
+///
+/// Data flow (no copy of A; A and b are only read):
+///   1. pack      A -> PackedMatrix, owner-parallel first touch;
+///   2. factor    the CALU DAG on the session team, then the left swaps;
+///   3. unpack    packed factors -> a fresh, never zero-filled LU
+///                workspace, owner-parallel above the team_share() floor;
+///   4. solve     getrs, then solve_factored's one-pass residual (and
+///                refinement) split by rows over the team above the floor.
+/// Every step writes the same bits at any team size, so x equals the
+/// serial sequence pack -> GetrfJob -> run -> finish -> unpack ->
+/// solve_factored(no team) bit for bit.  Peak residency is A + packed +
+/// LU: the workspace is allocated only once the factorization is done.
 SolveResult gesv(const layout::Matrix& a, const layout::Matrix& b,
                  const Options& opt);
 

@@ -141,19 +141,27 @@ double PackedMatrixT<T>::get(int i, int j) const {
 }
 
 template <class T>
-void PackedMatrixT<T>::unpack(Matrix& a) const {
+void PackedMatrixT<T>::unpack(Matrix& a, const OwnerRunner& place) const {
   const Tiling& t = tiling_;
   assert(a.rows() == t.m && a.cols() == t.n);
-  for (int J = 0; J < t.nb(); ++J) {
-    for (int I = 0; I < t.mb(); ++I) {
-      BlockRefT<T> src = block(I, J);
-      double* dst =
-          a.data() + t.row0(I) + static_cast<std::size_t>(t.col0(J)) * a.ld();
-      for (int j = 0; j < src.cols; ++j)
-        for (int i = 0; i < src.rows; ++i)
-          dst[i + static_cast<std::size_t>(j) * a.ld()] =
-              src.ptr[i + static_cast<std::size_t>(j) * src.ld];
-    }
+  auto copy_tile = [&](int I, int J) {
+    BlockRefT<T> src = block(I, J);
+    double* dst =
+        a.data() + t.row0(I) + static_cast<std::size_t>(t.col0(J)) * a.ld();
+    for (int j = 0; j < src.cols; ++j)
+      for (int i = 0; i < src.rows; ++i)
+        dst[i + static_cast<std::size_t>(j) * a.ld()] =
+            src.ptr[i + static_cast<std::size_t>(j) * src.ld];
+  };
+  auto drain_owner = [&](int owner) {
+    const int ti = owner / grid_.pc, tj = owner % grid_.pc;
+    for (int J = tj; J < t.nb(); J += grid_.pc)
+      for (int I = ti; I < t.mb(); I += grid_.pr) copy_tile(I, J);
+  };
+  if (place) {
+    place(grid_.size(), drain_owner);
+  } else {
+    for (int owner = 0; owner < grid_.size(); ++owner) drain_owner(owner);
   }
 }
 

@@ -9,7 +9,9 @@ namespace calu::layout {
 
 /// Owning column-major double matrix, 64-byte aligned, leading dimension ==
 /// row count.  This is the user-facing container; the factorization layouts
-/// (block-cyclic, two-level block) live in PackedMatrix.
+/// (block-cyclic, two-level block) live in PackedMatrix.  On Linux,
+/// buffers of 4 MiB and up are advised for transparent huge pages, so a
+/// fresh large matrix faults in 2 MiB at a time.
 class Matrix {
  public:
   Matrix() = default;
@@ -34,6 +36,12 @@ class Matrix {
 
   void fill(double v);
 
+  /// An m x n matrix whose elements are left indeterminate: the aligned
+  /// allocation without Matrix(m, n)'s zero fill.  For destinations that
+  /// are written in full before they are read (copies, unpacked factors),
+  /// so a large buffer is touched once instead of twice.
+  static Matrix uninitialized(int m, int n);
+
   /// Uniform random entries in [-1, 1] from a fixed seed (reproducible —
   /// every figure in the paper is run on random dense matrices).
   static Matrix random(int m, int n, std::uint64_t seed);
@@ -50,6 +58,9 @@ class Matrix {
       ::operator delete[](p, std::align_val_t{64});
     }
   };
+  struct NoFill {};
+  Matrix(int m, int n, NoFill);
+
   int m_ = 0, n_ = 0;
   std::unique_ptr<double[], Free> data_;
 };

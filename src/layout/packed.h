@@ -105,8 +105,15 @@ class PackedMatrixT {
                             const OwnerRunner& place = {});
 
   /// Write the packed contents back into a column-major matrix (must have
-  /// matching dimensions).  Converting for T = float.
-  void unpack(Matrix& a) const;
+  /// matching dimensions).  Converting for T = float.  Every element of
+  /// `a` is written, so `a` may come from Matrix::uninitialized.  `place`
+  /// (optional) is the same owner runner pack() takes: grid owner g
+  /// writes the tiles it owns (I % pr, J % pc) == g, so the copy-out runs
+  /// on the team and the destination's pages fault in on the threads
+  /// writing them.  Owners write disjoint tiles, so the result is
+  /// bit-identical to the serial copy for every layout (ColumnMajor's one
+  /// buffer is split among the owners the same way).
+  void unpack(Matrix& a, const OwnerRunner& place = {}) const;
 
   /// Same-geometry copy of `o` at this precision (buffer-wise element
   /// cast; no repacking — tile offsets are precision-independent).

@@ -320,6 +320,14 @@ void Topology::measure_class_latencies(int iters) {
   // One representative pair per class — mctop measures the full p×p
   // matrix, but the engine only acts on the class, so a sample per class
   // is enough and keeps the probe to a few ms.
+  // ping_pong_ns pins the calling thread to each pair's first cpu; the
+  // caller's own mask comes back afterwards, so a probe (including the
+  // first system_topology() call) never leaves its caller on one cpu.
+#ifdef __linux__
+  cpu_set_t saved;
+  const bool restore =
+      pthread_getaffinity_np(pthread_self(), sizeof(saved), &saved) == 0;
+#endif
   const int n = num_cpus();
   for (int i = 0; i < n; ++i)
     for (int j = i + 1; j < n; ++j) {
@@ -328,6 +336,9 @@ void Topology::measure_class_latencies(int iters) {
       if (slot >= 0) continue;
       slot = ping_pong_ns(cpus_[i].cpu, cpus_[j].cpu, iters);
     }
+#ifdef __linux__
+  if (restore) pthread_setaffinity_np(pthread_self(), sizeof(saved), &saved);
+#endif
 }
 
 void Topology::set_class_latencies(const double (&ns)[kStealClassCount]) {

@@ -113,7 +113,9 @@ class Topology {
   /// trick, reduced to the classes we act on).  Classes with no pair on
   /// this machine keep -1.  Safe anywhere: if pinning fails the sample
   /// still measures (just unpinned) and the table stays monotone on the
-  /// machines we care about.  `iters` round trips per pair.
+  /// machines we care about.  `iters` round trips per pair.  The probe
+  /// pins the calling thread per pair and restores its affinity mask
+  /// before returning.
   void measure_class_latencies(int iters = 4000);
 
   /// Injects a latency table (tests / fixtures).  ns[c] < 0 = unknown.

@@ -356,6 +356,59 @@ TEST(BatchedRun, FusedGesvJobsMatchSequentialAndLeaveInputsUntouched) {
   }
 }
 
+TEST(BatchedRun, FusedAboveTeamFloorMatchesSequentialBitForBit) {
+  // One job above core::team_share()'s floor (its unpack and residual run
+  // on the team) fused with small ones that stay on the caller.  Fused
+  // must match Sequential (per-job gesv) bit for bit, leave every A and b
+  // untouched, and the factor-only job must match in-place getrf.
+  std::vector<Matrix> as;
+  as.push_back(Matrix::random(600, 600, 2251));
+  as.push_back(Matrix::random(72, 72, 2252));
+  std::vector<Matrix> bs;
+  bs.push_back(Matrix::random(600, 3, 2253));
+  bs.push_back(Matrix::random(72, 1, 2254));
+  const Matrix factor_only = Matrix::random(530, 530, 2255);
+  const std::vector<Matrix> as0 = as, bs0 = bs;
+
+  auto make_jobs = [&](Matrix& fo) {
+    std::vector<core::BatchJob> jobs(3);
+    for (std::size_t i = 0; i < 2; ++i) {
+      jobs[i].a = &as[i];
+      jobs[i].rhs = &bs[i];
+      jobs[i].options = batch_options("hybrid", true);
+      jobs[i].options.b = 48;
+    }
+    jobs[2].a = &fo;
+    jobs[2].options = batch_options("hybrid", true);
+    jobs[2].options.b = 48;
+    return jobs;
+  };
+
+  Matrix seq_fo = factor_only, fus_fo = factor_only;
+  std::vector<core::BatchJob> seq_jobs = make_jobs(seq_fo);
+  sched::Session seq_session(sched::SessionOptions{4, false});
+  core::BatchRunResult seq =
+      core::batched_run(seq_jobs, seq_session, core::BatchMode::Sequential);
+
+  std::vector<core::BatchJob> fus_jobs = make_jobs(fus_fo);
+  sched::Session fus_session(sched::SessionOptions{4, false});
+  core::BatchRunResult fus =
+      core::batched_run(fus_jobs, fus_session, core::BatchMode::Fused);
+
+  for (std::size_t i = 0; i < 2; ++i) {
+    SCOPED_TRACE("job " + std::to_string(i));
+    EXPECT_TRUE(test::same_bits(fus.jobs[i].x, seq.jobs[i].x));
+    EXPECT_EQ(fus.jobs[i].refine_steps, seq.jobs[i].refine_steps);
+    EXPECT_EQ(fus.jobs[i].factorization.ipiv,
+              seq.jobs[i].factorization.ipiv);
+    EXPECT_LT(fus.jobs[i].residual, 1e-13);
+    EXPECT_TRUE(test::same_bits(as[i], as0[i]));
+    EXPECT_TRUE(test::same_bits(bs[i], bs0[i]));
+  }
+  EXPECT_TRUE(test::same_bits(fus_fo, seq_fo));
+  EXPECT_EQ(fus.jobs[2].factorization.ipiv, seq.jobs[2].factorization.ipiv);
+}
+
 TEST(BatchedRun, FusedRunCarriesMixedPrecisionJobs) {
   // One fused engine run interleaving a double job, a float32 solve job
   // (full gesv_mixed epilogue), and a float32 factor-only job.  The mixed

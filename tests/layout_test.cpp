@@ -2,6 +2,9 @@
 // segments, global row swaps.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
 #include <tuple>
 
 #include "src/layout/grid.h"
@@ -208,6 +211,28 @@ TEST(Matrix, CopySemantics) {
   EXPECT_NE(a(0, 0), b(0, 0));
   a = b;
   EXPECT_EQ(a(0, 0), b(0, 0));
+}
+
+TEST(Matrix, CopyAndUninitializedAllocation) {
+  // 37 x 5 takes the small-allocation path; 1100 x 600 (5 MiB) also gets
+  // the huge-page advice, which must leave the contents alone.
+  for (int m : {37, 1100}) {
+    const int n = m == 37 ? 5 : 600;
+    const Matrix a = Matrix::random(m, n, 370);
+    const Matrix c = a;  // copy constructor: allocated without the fill
+    EXPECT_TRUE(test::same_bits(c, a));
+    Matrix u = Matrix::uninitialized(m, n);
+    EXPECT_EQ(u.rows(), m);
+    EXPECT_EQ(u.cols(), n);
+    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(u.data()) % 64, 0u);
+    u = a;
+    EXPECT_TRUE(test::same_bits(u, a));
+    const Matrix z(m, n);  // Matrix(m, n) still zero-fills
+    double zmax = 0.0;
+    for (int j = 0; j < n; ++j)
+      for (int i = 0; i < m; ++i) zmax = std::max(zmax, std::fabs(z(i, j)));
+    EXPECT_EQ(zmax, 0.0);
+  }
 }
 
 }  // namespace

@@ -683,9 +683,23 @@ TEST(Executor, LocalityTagsServeOwnBucketFirst) {
   std::vector<std::atomic<int>> ran_by(n);
   sched::RunHooks hooks;
   hooks.locality_tags = true;
+  // Start barrier, repeated every round: a thread may begin its c-th
+  // task only once every thread has begun c - 1.  The c = 2 round keeps
+  // a thread the host starts late from finding its bucket already
+  // poached; the later rounds do the same for a thread the host preempts
+  // mid-run (a start barrier alone still failed under a parallel ctest).
+  // The last two rounds run free, so the threads that empty their
+  // buckets first can poach the stragglers' tails without waiting on
+  // them.  The assertion then depends on the pop policy, not on timing.
+  std::vector<std::atomic<int>> begun(p);
+  const int paced_rounds = n / p - 2;
   sched::run_owner_queues(
       team, g,
       [&](int id, int tid) {
+        const int c = begun[tid].fetch_add(1) + 1;
+        if (c <= paced_rounds)
+          for (int u = 0; u < p; ++u)
+            while (begun[u].load() < c - 1) std::this_thread::yield();
         noise::burn(2e-5);  // keep every thread busy long enough
         ran_by[id].store(tid);
       },

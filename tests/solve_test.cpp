@@ -1,10 +1,18 @@
-// solve_test.cpp — getrs, residual metric, gesv with refinement.
+// solve_test.cpp — getrs, residual metric, gesv with refinement, and the
+// zero-copy gesv data flow's bit-identity contracts (no copy of A,
+// owner-parallel unpack, team-split one-pass residual).
 #include <gtest/gtest.h>
+
+#include <memory>
+#include <string>
 
 #include "src/blas/blas.h"
 #include "src/core/calu.h"
 #include "src/core/solve.h"
 #include "src/layout/matrix.h"
+#include "src/layout/packed.h"
+#include "src/sched/session.h"
+#include "src/sched/thread_team.h"
 #include "tests/test_util.h"
 
 namespace calu {
@@ -235,6 +243,173 @@ TEST(Gesv, WorksAcrossSchedulesAndLayouts) {
       auto res = core::gesv(a, b, o);
       EXPECT_LT(res.residual, 1e-13)
           << core::schedule_name(s) << "/" << layout::layout_name(l);
+    }
+  }
+}
+
+// ------------------------------------------- zero-copy gesv data flow ---
+
+/// Sizes either side of core::team_share()'s floor (1 MiB per thread):
+/// 150^2 doubles stay on the caller at every team size; 1030^2 (8.1 MiB)
+/// spreads over a full 4-thread team.  Neither is a multiple of the tile
+/// sizes below or of any team size 2..4.
+constexpr int kBelowFloor = 150;
+constexpr int kAboveFloor = 1030;
+
+Options flow_opts(layout::Layout l, int n, int threads) {
+  Options o;
+  o.b = n > 512 ? 64 : 16;
+  o.layout = l;
+  o.threads = threads;
+  o.pin_threads = false;
+  return o;
+}
+
+/// gesv re-enacted from its public steps the way an outside-in profiler
+/// does (perfbench's traced path): copy A, pack the copy, GetrfJob,
+/// Session::run, finish, serial unpack, then solve_factored with no team.
+core::SolveResult gesv_by_steps(const Matrix& a, const Matrix& b,
+                                const Options& opt_in,
+                                sched::Session& session) {
+  Options o = core::with_tune_key(opt_in, a.rows(), a.cols());
+  o.b = o.resolved_b();
+  Matrix lu = a;
+  layout::PackedMatrix p = layout::PackedMatrix::pack(
+      lu, o.layout, o.b, o.resolved_grid(),
+      core::owner_runner_from(o, session.team()));
+  core::GetrfJob job(p, o);
+  std::unique_ptr<noise::Injector> injector;
+  const sched::RunHooks hooks =
+      core::run_hooks_from(o, session.threads(), injector);
+  session.run(
+      job.graph(), [&job](int id, int tid) { job.exec(id, tid); }, hooks,
+      o.resolved_engine());
+  core::SolveResult r;
+  r.factorization = job.finish(session.team());
+  p.unpack(lu);
+  core::solve_factored(a, b, lu, r.factorization.ipiv, o.max_refine, r);
+  return r;
+}
+
+TEST(TeamShare, FloorIsOneMiBPerThread) {
+  constexpr std::size_t kMiB = std::size_t{1} << 20;
+  EXPECT_EQ(core::team_share(0, 4), 1);
+  EXPECT_EQ(core::team_share(2 * kMiB - 1, 4), 1);
+  EXPECT_EQ(core::team_share(2 * kMiB, 4), 2);
+  EXPECT_EQ(core::team_share(64 * kMiB, 4), 4);
+  EXPECT_EQ(core::team_share(64 * kMiB, 1), 1);
+  EXPECT_EQ(core::team_share(64 * kMiB, 0), 1);
+  const std::size_t below = sizeof(double) * kBelowFloor * kBelowFloor;
+  const std::size_t above = sizeof(double) * kAboveFloor * kAboveFloor;
+  EXPECT_EQ(core::team_share(below, 4), 1);
+  EXPECT_EQ(core::team_share(above, 4), 4);
+}
+
+TEST(Gesv, LeavesInputsBitUnchanged) {
+  // No defensive copy any more: gesv packs straight from the caller's A,
+  // so A (and b) must come back untouched bit for bit.
+  for (int n : {kBelowFloor, kAboveFloor}) {
+    SCOPED_TRACE("n=" + std::to_string(n));
+    const Matrix a = Matrix::random(n, n, 320);
+    const Matrix b = Matrix::random(n, 2, 321);
+    const Matrix a0 = a, b0 = b;
+    const Options o = flow_opts(layout::Layout::BlockCyclic, n, 4);
+    sched::Session session(sched::SessionOptions{4, false});
+    auto res = core::gesv(a, b, o, session);
+    EXPECT_TRUE(test::same_bits(a, a0));
+    EXPECT_TRUE(test::same_bits(b, b0));
+    EXPECT_LT(res.residual, 1e-13);
+  }
+}
+
+TEST(Gesv, MatchesPublicStepSequenceBitForBit) {
+  // gesv (zero-copy pack, owner-parallel unpack, team-split residual)
+  // against the serial public-step sequence, across layouts, both sides
+  // of the team floor, nrhs 1 and 3, and team sizes 1-4.
+  for (layout::Layout l :
+       {layout::Layout::ColumnMajor, layout::Layout::BlockCyclic,
+        layout::Layout::TwoLevelBlock}) {
+    for (int n : {kBelowFloor, kAboveFloor}) {
+      const Matrix a = Matrix::random(n, n, 330 + n);
+      for (int nrhs : {1, 3}) {
+        const Matrix b = Matrix::random(n, nrhs, 340 + n + nrhs);
+        for (int threads = 1; threads <= 4; ++threads) {
+          SCOPED_TRACE(std::string(layout::layout_name(l)) + " n=" +
+                       std::to_string(n) + " nrhs=" + std::to_string(nrhs) +
+                       " threads=" + std::to_string(threads));
+          const Options o = flow_opts(l, n, threads);
+          sched::Session session(sched::SessionOptions{threads, false});
+          const core::SolveResult got = core::gesv(a, b, o, session);
+          const core::SolveResult want = gesv_by_steps(a, b, o, session);
+          EXPECT_TRUE(test::same_bits(got.x, want.x));
+          EXPECT_EQ(got.factorization.ipiv, want.factorization.ipiv);
+          EXPECT_EQ(got.refine_steps, want.refine_steps);
+          EXPECT_TRUE(test::same_bits(got.residual, want.residual));
+        }
+      }
+    }
+  }
+}
+
+TEST(SolveFactored, TeamSplitResidualMatchesSerialBits) {
+  // Perturbed factors force several refinement steps, so the reused
+  // residual r (and ||A||_inf taken once) are exercised on every step.
+  // Every team size must reproduce the no-team bits exactly.
+  for (int n : {kBelowFloor, kAboveFloor}) {
+    const Matrix a = Matrix::random(n, n, 350);
+    Matrix lu = a;
+    const core::Factorization f =
+        core::getrf(lu, flow_opts(layout::Layout::BlockCyclic, n, 4));
+    for (int j = 0; j < n; j += 7) lu(j, j) *= 1.0 + 1e-9;
+    for (int nrhs : {1, 3}) {
+      SCOPED_TRACE("n=" + std::to_string(n) + " nrhs=" + std::to_string(nrhs));
+      const Matrix b = Matrix::random(n, nrhs, 351);
+      core::SolveResult serial;
+      core::solve_factored(a, b, lu, f.ipiv, 3, serial);
+      EXPECT_GE(serial.refine_steps, 1);
+      EXPECT_LT(serial.residual, 1e-13);
+      for (int threads = 1; threads <= 4; ++threads) {
+        SCOPED_TRACE("threads=" + std::to_string(threads));
+        sched::ThreadTeam team(threads, false);
+        core::SolveResult split;
+        core::solve_factored(a, b, lu, f.ipiv, 3, split, 0.0, &team);
+        EXPECT_TRUE(test::same_bits(split.x, serial.x));
+        EXPECT_EQ(split.refine_steps, serial.refine_steps);
+        EXPECT_TRUE(test::same_bits(split.residual, serial.residual));
+      }
+      // The public metric is the same pass: it scores an x with the
+      // bits solve_factored reported for it.
+      core::SolveResult once;
+      core::solve_factored(a, b, lu, f.ipiv, 0, once);
+      const double metric = core::solve_residual(a, once.x, b);
+      EXPECT_TRUE(test::same_bits(metric, once.residual));
+    }
+  }
+}
+
+TEST(UnpackFactors, OwnerParallelMatchesSerialBits) {
+  // The team unpack writes each owner's tiles on its own thread into an
+  // uninitialized destination; every layout must give the serial bits.
+  for (layout::Layout l :
+       {layout::Layout::ColumnMajor, layout::Layout::BlockCyclic,
+        layout::Layout::TwoLevelBlock}) {
+    for (int n : {kBelowFloor, kAboveFloor}) {
+      SCOPED_TRACE(std::string(layout::layout_name(l)) + " n=" +
+                   std::to_string(n));
+      const Options o = flow_opts(l, n, 4);
+      const Matrix a = Matrix::random(n, n - 3, 360);
+      const layout::PackedMatrix p =
+          layout::PackedMatrix::pack(a, l, o.b, o.resolved_grid());
+      Matrix serial(n, n - 3);
+      p.unpack(serial);
+      EXPECT_TRUE(test::same_bits(serial, a));
+      sched::ThreadTeam team(4, false);
+      Matrix placed = Matrix::uninitialized(n, n - 3);
+      p.unpack(placed, core::owner_runner_from(o, team));
+      EXPECT_TRUE(test::same_bits(placed, serial));
+      Matrix fresh;  // wrong shape: unpack_factors allocates it
+      core::unpack_factors(p, fresh, o, team);
+      EXPECT_TRUE(test::same_bits(fresh, serial));
     }
   }
 }

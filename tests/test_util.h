@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <random>
 #include <string>
 #include <vector>
@@ -55,6 +56,19 @@ inline double max_abs_diff(const layout::Matrix& a, const layout::Matrix& b) {
     for (int i = 0; i < a.rows(); ++i)
       mx = std::max(mx, std::fabs(a(i, j) - b(i, j)));
   return mx;
+}
+
+/// Bitwise equality of shape and contents (max_abs_diff == 0 cannot see
+/// NaN payloads or signed zeros; bit-identity contracts need this).
+inline bool same_bits(const layout::Matrix& a, const layout::Matrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.data(), b.data(),
+                     sizeof(double) * static_cast<std::size_t>(a.rows()) *
+                         static_cast<std::size_t>(a.cols())) == 0;
+}
+
+inline bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
 }
 
 inline std::vector<double> random_vec(std::size_t n, std::uint64_t seed) {

@@ -18,6 +18,11 @@
 #include <string>
 #include <vector>
 
+#ifdef __linux__
+#include <pthread.h>
+#include <sched.h>
+#endif
+
 #include "src/core/calu.h"
 #include "src/layout/packed.h"
 #include "src/sched/dag.h"
@@ -212,6 +217,23 @@ TEST(Topology, MeasuresPingPongLatency) {
   Topology topo = Topology::synthetic(1, 1, 2, 1);
   topo.measure_class_latencies(/*iters=*/50);
   EXPECT_GT(topo.class_latency_ns(StealClass::kSharedL3), 0.0);
+}
+
+TEST(Topology, ProbeRestoresCallerAffinity) {
+  // The ping-pong probe pins the calling thread to one cpu of each pair;
+  // a probe over the real affinity cpus must hand the caller its mask
+  // back (it used to leave the first system_topology() caller pinned).
+#ifdef __linux__
+  cpu_set_t before;
+  ASSERT_EQ(pthread_getaffinity_np(pthread_self(), sizeof(before), &before),
+            0);
+  Topology topo =
+      Topology::probe(Topology::kDefaultSysfsRoot, sched::affinity_cpus());
+  topo.measure_class_latencies(/*iters=*/50);
+  cpu_set_t after;
+  ASSERT_EQ(pthread_getaffinity_np(pthread_self(), sizeof(after), &after), 0);
+  EXPECT_TRUE(CPU_EQUAL(&before, &after));
+#endif
 }
 
 TEST(Topology, SystemTopologyCoversAffinity) {
