@@ -25,6 +25,13 @@
 // open-loop: seconds from batch start to each job's completion (DAG
 // retirement in fused mode), pooled across reps before taking
 // percentiles.
+//
+// Besides the uniform-size sweep, one fused `mixed_sizes` row runs the
+// repository benchmark's small_batch mix: 32 jobs, 8 each of n = 48, 64,
+// 96 and 128, b = 32.  Fused rows also report busy_max_over_mean: per-
+// thread busy time (task bodies, from a trace::Recorder on extra untimed
+// reps) of the busiest team thread over the team mean — 1.0 is a
+// perfectly balanced run.  Other rows report -1 (not measured).
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -36,6 +43,7 @@
 #include "src/core/solve.h"
 #include "src/sched/engine_registry.h"
 #include "src/sched/topology.h"
+#include "src/trace/trace.h"
 #include "src/util/percentile.h"
 
 namespace {
@@ -60,11 +68,20 @@ const char* mode_name(Mode m) {
   }
 }
 
+/// The small_batch mix of the mixed_sizes row, cycled over its jobs.
+constexpr int kMixedSizes[] = {48, 64, 96, 128};
+
 struct Config {
   int n = 0, b = 0, jobs = 0;
   Mode mode = Mode::OneShot;
+  bool mixed = false;  ///< job i has n = kMixedSizes[i % 4] (n is the max)
   bool reuse() const { return mode != Mode::OneShot; }
+  int job_n(int i) const { return mixed ? kMixedSizes[i % 4] : n; }
 };
+
+const char* shape_name(const Config& c) {
+  return c.mixed ? "mixed_sizes" : "uniform";
+}
 
 struct Result {
   Config cfg;
@@ -76,6 +93,7 @@ struct Result {
   double lat_p99_ms = 0.0;
   std::uint64_t teams_spawned = 0;
   std::uint64_t dag_runs = 0;
+  double busy_max_over_mean = -1.0;  // fused rows only
 };
 
 std::string json_flag(int argc, char** argv) {
@@ -98,14 +116,49 @@ double percentile_ms(const std::vector<double>& sorted_s, double p) {
   return util::percentile(sorted_s, p) * 1e3;
 }
 
+/// Busiest thread's task time over the team mean, the median over three
+/// traced fused runs on one warmed-up session.
+double fused_busy_balance(std::vector<core::BatchJob> jobs,
+                          const core::Options& opt) {
+  sched::Session session(core::session_options_from(opt));
+  core::batched_run(jobs, session, core::BatchMode::Fused);  // warm-up
+  std::vector<double> ratios;
+  for (int rep = 0; rep < 3; ++rep) {
+    trace::Recorder rec;
+    jobs[0].options.recorder = &rec;  // the fused run takes hooks from job 0
+    core::batched_run(jobs, session, core::BatchMode::Fused);
+    double max = 0.0, sum = 0.0;
+    for (int t = 0; t < rec.threads(); ++t) {
+      double busy = 0.0;
+      for (const trace::Event& e : rec.thread_events(t)) busy += e.t1 - e.t0;
+      max = std::max(max, busy);
+      sum += busy;
+    }
+    if (sum > 0.0) ratios.push_back(max * rec.threads() / sum);
+  }
+  if (ratios.empty()) return -1.0;
+  std::sort(ratios.begin(), ratios.end());
+  return ratios[ratios.size() / 2];
+}
+
 Result run_config(const Config& cfg, const core::Options& opt, int reps) {
   std::vector<layout::Matrix> as, bs;
   for (int i = 0; i < cfg.jobs; ++i) {
-    as.push_back(layout::Matrix::random(
-        cfg.n, cfg.n, 4000 + static_cast<std::uint64_t>(i)));
-    bs.push_back(layout::Matrix::random(
-        cfg.n, 1, 5000 + static_cast<std::uint64_t>(i)));
+    const int n = cfg.job_n(i);
+    as.push_back(
+        layout::Matrix::random(n, n, 4000 + static_cast<std::uint64_t>(i)));
+    bs.push_back(
+        layout::Matrix::random(n, 1, 5000 + static_cast<std::uint64_t>(i)));
   }
+  auto make_jobs = [&] {
+    std::vector<core::BatchJob> jobs(as.size());
+    for (std::size_t i = 0; i < as.size(); ++i) {
+      jobs[i].a = &as[i];
+      jobs[i].rhs = &bs[i];
+      jobs[i].options = opt;
+    }
+    return jobs;
+  };
 
   Result res;
   res.cfg = cfg;
@@ -123,12 +176,7 @@ Result run_config(const Config& cfg, const core::Options& opt, int reps) {
       res.dag_runs = static_cast<std::uint64_t>(cfg.jobs);
     } else {
       sched::Session session(core::session_options_from(opt));
-      std::vector<core::BatchJob> jobs(as.size());
-      for (std::size_t i = 0; i < as.size(); ++i) {
-        jobs[i].a = &as[i];
-        jobs[i].rhs = &bs[i];
-        jobs[i].options = opt;
-      }
+      std::vector<core::BatchJob> jobs = make_jobs();
       core::BatchRunResult batch = core::batched_run(
           jobs, session,
           cfg.mode == Mode::Fused ? core::BatchMode::Fused
@@ -149,6 +197,8 @@ Result run_config(const Config& cfg, const core::Options& opt, int reps) {
   res.lat_p50_ms = percentile_ms(lat, 50.0);
   res.lat_p95_ms = percentile_ms(lat, 95.0);
   res.lat_p99_ms = percentile_ms(lat, 99.0);
+  if (cfg.mode == Mode::Fused)
+    res.busy_max_over_mean = fused_busy_balance(make_jobs(), opt);
   return res;
 }
 
@@ -196,17 +246,20 @@ void write_json(const char* path, const std::vector<Result>& results,
     const Result& r = results[i];
     std::fprintf(f,
                  "    {\"n\": %d, \"b\": %d, \"jobs\": %d, "
+                 "\"shape\": \"%s\", "
                  "\"mode\": \"%s\", \"session_reuse\": %s, "
                  "\"seconds\": %.6f, \"jobs_per_s\": %.2f, "
                  "\"latency_ms\": %.3f, \"lat_p50_ms\": %.3f, "
                  "\"lat_p95_ms\": %.3f, \"lat_p99_ms\": %.3f, "
-                 "\"teams_spawned\": %llu, \"dag_runs\": %llu}%s\n",
-                 r.cfg.n, r.cfg.b, r.cfg.jobs, mode_name(r.cfg.mode),
-                 r.cfg.reuse() ? "true" : "false", r.seconds, r.jobs_per_s,
-                 r.latency_ms, r.lat_p50_ms, r.lat_p95_ms, r.lat_p99_ms,
+                 "\"teams_spawned\": %llu, \"dag_runs\": %llu, "
+                 "\"busy_max_over_mean\": %.3f}%s\n",
+                 r.cfg.n, r.cfg.b, r.cfg.jobs, shape_name(r.cfg),
+                 mode_name(r.cfg.mode), r.cfg.reuse() ? "true" : "false",
+                 r.seconds, r.jobs_per_s, r.latency_ms, r.lat_p50_ms,
+                 r.lat_p95_ms, r.lat_p99_ms,
                  static_cast<unsigned long long>(r.teams_spawned),
                  static_cast<unsigned long long>(r.dag_runs),
-                 i + 1 < results.size() ? "," : "");
+                 r.busy_max_over_mean, i + 1 < results.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n");
   // Steal-locality comparison (see steal_locality_sweep).  cross_fraction
@@ -275,10 +328,24 @@ int main(int argc, char** argv) {
       full_scale() ? std::vector<int>{4, 16, 64}
                    : std::vector<int>{1, 4, 16, 48};
 
-  std::printf("%6s %4s %5s %11s %10s %10s %10s %9s %9s %6s\n", "n", "b",
-              "jobs", "mode", "seconds", "jobs/s", "lat_p50", "lat_p95",
-              "lat_p99", "teams");
+  std::printf("%11s %4s %5s %11s %10s %10s %10s %9s %9s %6s %9s\n", "n",
+              "b", "jobs", "mode", "seconds", "jobs/s", "lat_p50", "lat_p95",
+              "lat_p99", "teams", "busy_max");
   std::vector<Result> results;
+  auto run_row = [&](const Config& cfg) {
+    core::Options o = opt;
+    o.b = cfg.b;
+    results.push_back(run_config(cfg, o, nreps));
+    const Result& r = results.back();
+    const std::string n =
+        r.cfg.mixed ? std::string(shape_name(r.cfg)) : std::to_string(r.cfg.n);
+    std::printf("%11s %4d %5d %11s %10.4f %10.1f %10.3f %9.3f %9.3f %6llu "
+                "%9.3f\n",
+                n.c_str(), r.cfg.b, r.cfg.jobs, mode_name(r.cfg.mode),
+                r.seconds, r.jobs_per_s, r.lat_p50_ms, r.lat_p95_ms,
+                r.lat_p99_ms, static_cast<unsigned long long>(r.teams_spawned),
+                r.busy_max_over_mean);
+  };
   for (int n : ns)
     for (int jobs : job_counts)
       for (Mode mode : {Mode::OneShot, Mode::Sequential, Mode::Fused}) {
@@ -287,17 +354,15 @@ int main(int argc, char** argv) {
         cfg.b = default_b(n);
         cfg.jobs = jobs;
         cfg.mode = mode;
-        core::Options o = opt;
-        o.b = cfg.b;
-        results.push_back(run_config(cfg, o, nreps));
-        const Result& r = results.back();
-        std::printf("%6d %4d %5d %11s %10.4f %10.1f %10.3f %9.3f %9.3f "
-                    "%6llu\n",
-                    r.cfg.n, r.cfg.b, r.cfg.jobs, mode_name(r.cfg.mode),
-                    r.seconds, r.jobs_per_s, r.lat_p50_ms, r.lat_p95_ms,
-                    r.lat_p99_ms,
-                    static_cast<unsigned long long>(r.teams_spawned));
+        run_row(cfg);
       }
+  Config mixed;
+  mixed.n = 128;
+  mixed.b = 32;
+  mixed.jobs = 32;
+  mixed.mode = Mode::Fused;
+  mixed.mixed = true;
+  run_row(mixed);
 
   if (!json_path.empty())
     write_json(json_path.c_str(), results, threads, engine, nreps);

@@ -1,7 +1,10 @@
 #include "src/core/batch.h"
 
+#include <algorithm>
+#include <atomic>
 #include <cassert>
 #include <chrono>
+#include <exception>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -83,7 +86,8 @@ BatchRunResult run_fused(std::vector<BatchJob>& jobs,
   // compares tuned resolutions rather than the unkeyed defaults.
   for (BatchJob& job : jobs) {
     assert(job.a != nullptr);
-    job.options = with_tune_key(job.options, job.a->rows(), job.a->cols());
+    job.options = with_tune_key(with_session_threads(job.options, session),
+                                job.a->rows(), job.a->cols());
   }
 
   // One engine executes the fused graph: a job set that names two engines
@@ -114,6 +118,7 @@ BatchRunResult run_fused(std::vector<BatchJob>& jobs,
   // to a separate LU workspace at unpack time, gesv-style).  Reserve up
   // front — GetrfJob keeps a reference to its PackedMatrix element.
   const std::size_t n = jobs.size();
+  const int p = session.threads();
   std::vector<layout::PackedMatrix> packed;
   packed.reserve(n);
   std::vector<GetrfJob> prepared;
@@ -124,9 +129,11 @@ BatchRunResult run_fused(std::vector<BatchJob>& jobs,
                                   job.a->rows() == job.rhs->rows()));
     Options& o = job.options;
     o.b = o.resolved_b();  // the fused path owns the packing, like getrf
-    packed.push_back(
-        layout::PackedMatrix::pack(*job.a, o.layout, o.b, o.resolved_grid(),
-                                   owner_runner_from(o, session.team())));
+    // Placed for the owner rotation run_fused applies to this job.
+    packed.push_back(layout::PackedMatrix::pack(
+        *job.a, o.layout, o.b, o.resolved_grid(),
+        owner_runner_from(o, session.team(),
+                          sched::fused_owner_shift(static_cast<int>(i), p))));
     prepared.emplace_back(packed.back(), o);
   }
 
@@ -146,19 +153,25 @@ BatchRunResult run_fused(std::vector<BatchJob>& jobs,
 
   // Epilogue, per job: deferred left swaps, unpack, and for rhs jobs the
   // same solve_factored() refinement gesv runs — bit-identity with the
-  // sequential path is shared code, not a re-implementation.
-  for (std::size_t i = 0; i < n; ++i) {
+  // sequential path is shared code, not a re-implementation.  `team` is
+  // the session team for a job run from the caller, and null for a job
+  // whose whole epilogue runs on the one team thread that picked it up.
+  const auto epilogue = [&](std::size_t i, sched::ThreadTeam* team) {
     BatchJob& job = jobs[i];
     BatchJobResult& out = res.jobs[i];
-    out.factorization = prepared[i].finish(session.team());
+    out.factorization =
+        team != nullptr ? prepared[i].finish(*team) : prepared[i].finish();
     out.factorization.stats.engine.static_pops = fr.jobs[i].static_pops;
     out.factorization.stats.engine.dynamic_pops = fr.jobs[i].dynamic_pops;
     out.factorization.stats.engine.elapsed = fr.jobs[i].completed_at;
     out.factorization.stats.factor_seconds = fr.jobs[i].completed_at;
     out.completed_at = fr.jobs[i].completed_at;
+    // Without a team the job is below the team_share() floor, where
+    // unpack_factors stays on the calling thread whatever team it gets.
+    sched::ThreadTeam& unpack_team = session.team();
     if (job.rhs != nullptr) {
       layout::Matrix lu;
-      unpack_factors(packed[i], lu, job.options, session.team());
+      unpack_factors(packed[i], lu, job.options, unpack_team);
       SolveResult sr;
       sr.factorization = std::move(out.factorization);
       if (job.options.precision == Precision::Float32) {
@@ -169,7 +182,7 @@ BatchRunResult run_fused(std::vector<BatchJob>& jobs,
         refine_mixed(*job.a, *job.rhs, lu, job.options, session, sr);
       } else {
         solve_factored(*job.a, *job.rhs, lu, sr.factorization.ipiv,
-                       job.options.max_refine, sr, 0.0, &session.team());
+                       job.options.max_refine, sr, 0.0, team);
       }
       out.factorization = std::move(sr.factorization);
       out.x = std::move(sr.x);
@@ -177,9 +190,52 @@ BatchRunResult run_fused(std::vector<BatchJob>& jobs,
       out.residual = sr.residual;
       out.used_fallback = sr.used_fallback;
     } else {
-      unpack_factors(packed[i], *job.a, job.options, session.team());
+      unpack_factors(packed[i], *job.a, job.options, unpack_team);
     }
+  };
+
+  // Job-parallel epilogue: every double-precision job below the
+  // team_share() floor runs its whole epilogue on one team thread, jobs
+  // handed out largest first through one counter (the dynamic remainder
+  // that absorbs uneven job sizes).  Float32 jobs may fall back to a
+  // double re-solve on the session, and jobs above the floor spread their
+  // own epilogue over the team, so both stay on the caller.  Each step
+  // writes the same bits with or without a team, so the split never
+  // shows in the results.
+  std::vector<std::size_t> job_parallel, on_caller;
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::size_t bytes = sizeof(double) *
+                              static_cast<std::size_t>(jobs[i].a->rows()) *
+                              static_cast<std::size_t>(jobs[i].a->cols());
+    const bool one_thread = jobs[i].options.precision == Precision::Double &&
+                            team_share(bytes, p) <= 1;
+    (one_thread ? job_parallel : on_caller).push_back(i);
   }
+  std::stable_sort(job_parallel.begin(), job_parallel.end(),
+                   [&jobs](std::size_t x, std::size_t y) {
+                     return jobs[x].a->rows() * jobs[x].a->cols() >
+                            jobs[y].a->rows() * jobs[y].a->cols();
+                   });
+  // A throwing job is recorded and rethrown on the caller once the
+  // team is back; the other jobs still finish.
+  std::vector<std::exception_ptr> errors(n);
+  if (!job_parallel.empty()) {
+    std::atomic<std::size_t> next{0};
+    session.team().run([&](int) {
+      for (std::size_t k = next.fetch_add(1, std::memory_order_relaxed);
+           k < job_parallel.size();
+           k = next.fetch_add(1, std::memory_order_relaxed)) {
+        try {
+          epilogue(job_parallel[k], nullptr);
+        } catch (...) {
+          errors[job_parallel[k]] = std::current_exception();
+        }
+      }
+    });
+  }
+  for (std::size_t i : on_caller) epilogue(i, &session.team());
+  for (const std::exception_ptr& e : errors)
+    if (e) std::rethrow_exception(e);
 
   res.completion_order = std::move(fr.completion_order);
   res.stats.engine = fr.engine;

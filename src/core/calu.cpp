@@ -74,8 +74,10 @@ class Runtime {
 
   void exec(int id, int tid);
 
-  /// Deferred left swaps (Algorithm 1 line 43), parallel over tile columns.
-  void apply_left_swaps(sched::ThreadTeam& team);
+  /// Deferred left swaps (Algorithm 1 line 43), parallel over tile columns
+  /// on `team`, or serially on the caller without one.  Tile columns are
+  /// disjoint, so the split never changes the bits.
+  void apply_left_swaps(sched::ThreadTeam* team);
 
   std::vector<int> take_ipiv();
 
@@ -300,10 +302,10 @@ void Runtime<T>::exec_s(const sched::Task& t) {
 }
 
 template <class T>
-void Runtime<T>::apply_left_swaps(sched::ThreadTeam& team) {
+void Runtime<T>::apply_left_swaps(sched::ThreadTeam* team) {
   const layout::Tiling& tl = plan_.tiling;
   const int npanels = plan_.npanels;
-  team.parallel_for(npanels, [&](int J) {
+  const auto column = [&](int J) {
     const int c0 = tl.col0(J);
     const int c1 = c0 + tl.tile_cols(J);
     for (int K = J + 1; K < npanels; ++K) {
@@ -313,7 +315,12 @@ void Runtime<T>::apply_left_swaps(sched::ThreadTeam& team) {
         if (sw[i] != row0 + static_cast<int>(i))
           a_.swap_rows_global(c0, c1, row0 + static_cast<int>(i), sw[i]);
     }
-  });
+  };
+  if (team != nullptr) {
+    team->parallel_for(npanels, column);
+  } else {
+    for (int J = 0; J < npanels; ++J) column(J);
+  }
 }
 
 template <class T>
@@ -427,15 +434,30 @@ Options with_tune_key(const Options& opt, int m, int n) {
   return o;
 }
 
+Options with_session_threads(const Options& opt,
+                             const sched::Session& session) {
+  if (opt.threads != 0 || (opt.pr > 0 && opt.pc > 0)) return opt;
+  Options o = opt;
+  o.threads = session.threads();
+  return o;
+}
+
 layout::OwnerRunner owner_runner_from(const Options& opt,
-                                      sched::ThreadTeam& team) {
+                                      sched::ThreadTeam& team,
+                                      int owner_shift) {
   if (!opt.first_touch || team.size() <= 1) return {};
-  return [&team](int nowners, const std::function<void(int)>& fill) {
+  return [&team, owner_shift](int nowners,
+                              const std::function<void(int)>& fill) {
     team.run([&](int tid) {
       // owner % p is how every engine maps Task::owner onto a thread, so
       // the pages a thread faults in here belong to the tasks it will
-      // pop from its own queue later.
-      for (int g = tid; g < nowners; g += team.size()) fill(g);
+      // pop from its own queue later.  A fused job's owners are rotated
+      // (sched::fused_owner_shift): owner g then runs on thread
+      // (g + owner_shift) % p, so thread tid fills the owners g with
+      // g = tid - owner_shift (mod p).
+      const int p = team.size();
+      for (int g = ((tid - owner_shift) % p + p) % p; g < nowners; g += p)
+        fill(g);
     });
   };
 }
@@ -520,6 +542,12 @@ double GetrfJob::plan_seconds() const { return impl_->plan_seconds; }
 double GetrfJob::flops() const { return impl_->flops; }
 
 Factorization GetrfJob::finish(sched::ThreadTeam& team) {
+  return finish_on(&team);
+}
+
+Factorization GetrfJob::finish() { return finish_on(nullptr); }
+
+Factorization GetrfJob::finish_on(sched::ThreadTeam* team) {
   Factorization f;
   auto fin = [&](auto& rt) {
     rt.apply_left_swaps(team);
@@ -600,7 +628,8 @@ Factorization getrf(const layout::Matrix& a, layout::Matrix& lu,
   // The Matrix-level driver owns the packing, so it is the one place the
   // tuned tile size can be applied: materialize it into `b` before the
   // pack (GetrfJob's b-match contract then holds by construction).
-  Options opt = with_tune_key(opt_in, a.rows(), a.cols());
+  Options opt =
+      with_tune_key(with_session_threads(opt_in, session), a.rows(), a.cols());
   opt.b = opt.resolved_b();
   layout::PackedMatrix p =
       layout::PackedMatrix::pack(a, opt.layout, opt.b, opt.resolved_grid(),

@@ -208,10 +208,17 @@ class GetrfJob {
   /// ran the graph.
   Factorization finish(sched::ThreadTeam& team);
 
+  /// finish() with the left swaps applied serially on the calling thread
+  /// — for an epilogue that already runs one job per team thread.  Bit-
+  /// identical to the team variant.
+  Factorization finish();
+
   double plan_seconds() const;
   double flops() const;  ///< model LU flop count, for gflops attribution
 
  private:
+  Factorization finish_on(sched::ThreadTeam* team);
+
   struct Impl;
   std::unique_ptr<Impl> impl_;
 };
@@ -280,17 +287,30 @@ Options with_tune_key(const Options& opt, int m, int n);
 sched::RunHooks run_hooks_from(const Options& opt, int team_size,
                                std::unique_ptr<noise::Injector>& injector);
 
+/// `opt` sized for `session`: with the default thread count (threads = 0
+/// and no explicit pr/pc grid) it gets threads = session.threads().
+/// Otherwise resolved_grid() would size the grid from the calling
+/// thread's affinity mask, which a pinned session has narrowed to one
+/// cpu — a 1x1 grid that leaves all static work on one thread.  The
+/// session-taking Matrix-level drivers (getrf, gesv, potrf) and the
+/// batch layer run their Options through it.
+Options with_session_threads(const Options& opt,
+                             const sched::Session& session);
+
 /// SessionOptions from Options — likewise the single source for the
 /// Options → session wiring every one-shot ("ephemeral session, run
 /// once") entry point shares.
 sched::SessionOptions session_options_from(const Options& opt);
 
 /// The ownership-ordered first-touch runner for PackedMatrix::pack —
-/// owner g fills on team thread g % p, mirroring how every engine routes
-/// owned tasks.  Empty (serial pack) when Options::first_touch is off or
-/// the team is a single thread.  The returned runner borrows `team`;
-/// use it before the team is torn down.
+/// owner g fills on team thread (g + owner_shift) % p, mirroring how
+/// every engine routes owned tasks.  owner_shift is 0 for a job run on
+/// its own and sched::fused_owner_shift(j, p) for job j of a fused run,
+/// whose owners Session::run_fused rotates.  Empty (serial pack) when
+/// Options::first_touch is off or the team is a single thread.  The
+/// returned runner borrows `team`; use it before the team is torn down.
 layout::OwnerRunner owner_runner_from(const Options& opt,
-                                      sched::ThreadTeam& team);
+                                      sched::ThreadTeam& team,
+                                      int owner_shift = 0);
 
 }  // namespace calu::core

@@ -227,7 +227,8 @@ Factorization potrf(layout::PackedMatrix& a, const Options& opt,
 
 Factorization potrf(layout::Matrix& a, const Options& opt_in,
                     sched::Session& session) {
-  Options opt = with_tune_key(opt_in, a.rows(), a.cols());
+  Options opt =
+      with_tune_key(with_session_threads(opt_in, session), a.rows(), a.cols());
   opt.b = opt.resolved_b();
   layout::PackedMatrix p =
       layout::PackedMatrix::pack(a, opt.layout, opt.b, opt.resolved_grid(),

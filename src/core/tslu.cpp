@@ -2,39 +2,47 @@
 
 #include <algorithm>
 #include <cassert>
-#include <unordered_map>
 
 #include "src/blas/blas.h"
 
 namespace calu::core {
 namespace {
 
+/// Partial-pivoting LU of the (rows x width) block `lu` (column-
+/// major, ld = rows), in place.  Returns the LAPACK swap sequence, length
+/// min(rows, width), or an empty one when rows <= 1 (nothing to select).
+/// The recursion bottoms out into the blocked vectorized panel kernel
+/// (blas::getf2) at its default 32-column leaf — tuned on exactly the
+/// dominant tournament shapes (2*width x width merge nodes).  Pivot
+/// choices are unchanged: the panel kernel is bit-identical to unblocked
+/// elimination.
 template <class T>
-std::vector<T>& tl_select_scratch() {
+const std::vector<int>& factor_pivots(int rows, int width, T* lu) {
+  assert(rows >= 0 && width >= 1);
+  thread_local std::vector<int> ipiv;
+  ipiv.clear();
+  if (rows <= 1) return ipiv;
+  ipiv.resize(std::min(rows, width));
+  blas::getrf_recursive(rows, width, lu, rows, ipiv.data());
+  return ipiv;
+}
+
+template <class T>
+std::vector<T>& tl_scratch() {
   thread_local std::vector<T> scratch;
   return scratch;
 }
 
 template <class T>
 void tournament_select_impl(int rows, int width, T* w, int ldw, int* src) {
-  assert(rows >= 0 && width >= 1);
-  if (rows <= 1) return;
-  std::vector<T>& scratch = tl_select_scratch<T>();
-  thread_local std::vector<int> ipiv;
+  std::vector<T>& scratch = tl_scratch<T>();
   scratch.resize(static_cast<std::size_t>(rows) * width);
-  ipiv.resize(std::min(rows, width));
   for (int j = 0; j < width; ++j)
     std::copy_n(w + static_cast<std::size_t>(j) * ldw, rows,
                 scratch.data() + static_cast<std::size_t>(j) * rows);
-  // The recursion bottoms out into the blocked vectorized panel kernel
-  // (blas::getf2) at its default 32-column leaf — tuned on exactly the
-  // dominant tournament shapes (2*width x width merge nodes).  Pivot
-  // choices are unchanged: the panel kernel is bit-identical to
-  // unblocked elimination.
-  blas::getrf_recursive(rows, width, scratch.data(), rows, ipiv.data());
   // Replay the pivot swaps on the original values and the origin ids.
-  const int k = std::min(rows, width);
-  for (int i = 0; i < k; ++i) {
+  const std::vector<int>& ipiv = factor_pivots(rows, width, scratch.data());
+  for (int i = 0; i < static_cast<int>(ipiv.size()); ++i) {
     const int p = ipiv[i];
     if (p == i) continue;
     blas::swap_rows(width, w, ldw, i, p);
@@ -42,10 +50,30 @@ void tournament_select_impl(int rows, int width, T* w, int ldw, int* src) {
   }
 }
 
+/// Factors the gathered (rows x width) block `lu` (ld = rows) and returns
+/// the gathered row index of each of the min(rows, width) winners, in
+/// pivot order: the swap sequence applied to an index vector instead of
+/// to the rows themselves.
 template <class T>
-std::vector<T>& tl_gather_vals() {
-  thread_local std::vector<T> w;
-  return w;
+const std::vector<int>& winner_positions(int rows, int width, T* lu) {
+  thread_local std::vector<int> pos;
+  pos.resize(rows);
+  for (int i = 0; i < rows; ++i) pos[i] = i;
+  const std::vector<int>& ipiv = factor_pivots(rows, width, lu);
+  for (int i = 0; i < static_cast<int>(ipiv.size()); ++i)
+    std::swap(pos[i], pos[ipiv[i]]);
+  pos.resize(std::min(rows, width));
+  return pos;
+}
+
+template <class T>
+CandidatesT<T> make_candidates(int keep, int width) {
+  CandidatesT<T> c;
+  c.count = keep;
+  c.width = width;
+  c.vals.resize(static_cast<std::size_t>(keep) * width);
+  c.src.resize(keep);
+  return c;
 }
 
 }  // namespace
@@ -63,33 +91,41 @@ CandidatesT<T> tslu_leaf(const layout::PackedMatrixT<T>& a, int kcol,
                          const std::vector<int>& tile_rows) {
   const layout::Tiling& t = a.tiling();
   const int width = t.tile_cols(kcol);
-  int rows = 0;
-  for (int I : tile_rows) rows += t.tile_rows(I);
+  const int ntiles = static_cast<int>(tile_rows.size());
+  // first[k]: gathered row index of tile k's first row.
+  thread_local std::vector<int> first;
+  first.resize(ntiles + 1);
+  first[0] = 0;
+  for (int k = 0; k < ntiles; ++k)
+    first[k + 1] = first[k] + t.tile_rows(tile_rows[k]);
+  const int rows = first[ntiles];
 
-  std::vector<T>& w = tl_gather_vals<T>();
-  thread_local std::vector<int> src;
-  w.resize(static_cast<std::size_t>(rows) * width);
-  src.resize(rows);
-  int r = 0;
-  for (int I : tile_rows) {
-    const layout::BlockRefT<T> blk = a.block(I, kcol);
+  // One gather, straight into the scratch the tournament factors.
+  std::vector<T>& lu = tl_scratch<T>();
+  lu.resize(static_cast<std::size_t>(rows) * width);
+  for (int k = 0; k < ntiles; ++k) {
+    const layout::BlockRefT<T> blk = a.block(tile_rows[k], kcol);
     for (int j = 0; j < width; ++j)
       std::copy_n(blk.ptr + static_cast<std::size_t>(j) * blk.ld, blk.rows,
-                  w.data() + r + static_cast<std::size_t>(j) * rows);
-    for (int i = 0; i < blk.rows; ++i) src[r + i] = t.row0(I) + i;
-    r += blk.rows;
+                  lu.data() + first[k] + static_cast<std::size_t>(j) * rows);
   }
-  tournament_select(rows, width, w.data(), rows, src.data());
+  const std::vector<int>& pos = winner_positions(rows, width, lu.data());
 
-  const int keep = std::min(rows, width);
-  CandidatesT<T> c;
-  c.count = keep;
-  c.width = width;
-  c.vals.resize(static_cast<std::size_t>(keep) * width);
-  c.src.assign(src.begin(), src.begin() + keep);
-  for (int j = 0; j < width; ++j)
-    std::copy_n(w.data() + static_cast<std::size_t>(j) * rows, keep,
-                c.vals.data() + static_cast<std::size_t>(j) * keep);
+  // The winners' original values come from the packed panel itself: it
+  // stays read-only until the panel's finalize task swaps it.
+  const int keep = static_cast<int>(pos.size());
+  CandidatesT<T> c = make_candidates<T>(keep, width);
+  for (int q = 0; q < keep; ++q) {
+    const int k = static_cast<int>(
+        std::upper_bound(first.begin(), first.end(), pos[q]) - first.begin() -
+        1);
+    const int r = pos[q] - first[k];
+    const layout::BlockRefT<T> blk = a.block(tile_rows[k], kcol);
+    c.src[q] = t.row0(tile_rows[k]) + r;
+    for (int j = 0; j < width; ++j)
+      c.vals[q + static_cast<std::size_t>(j) * keep] =
+          blk.ptr[r + static_cast<std::size_t>(j) * blk.ld];
+  }
   return c;
 }
 
@@ -99,29 +135,28 @@ CandidatesT<T> tslu_merge(const CandidatesT<T>& x, const CandidatesT<T>& y) {
   const int width = x.width;
   const int rows = x.count + y.count;
 
-  std::vector<T>& w = tl_gather_vals<T>();
-  thread_local std::vector<int> src;
-  w.resize(static_cast<std::size_t>(rows) * width);
-  src.resize(rows);
+  std::vector<T>& lu = tl_scratch<T>();
+  lu.resize(static_cast<std::size_t>(rows) * width);
   for (int j = 0; j < width; ++j) {
     std::copy_n(x.data() + static_cast<std::size_t>(j) * x.count, x.count,
-                w.data() + static_cast<std::size_t>(j) * rows);
+                lu.data() + static_cast<std::size_t>(j) * rows);
     std::copy_n(y.data() + static_cast<std::size_t>(j) * y.count, y.count,
-                w.data() + x.count + static_cast<std::size_t>(j) * rows);
+                lu.data() + x.count + static_cast<std::size_t>(j) * rows);
   }
-  std::copy(x.src.begin(), x.src.end(), src.begin());
-  std::copy(y.src.begin(), y.src.end(), src.begin() + x.count);
-  tournament_select(rows, width, w.data(), rows, src.data());
+  const std::vector<int>& pos = winner_positions(rows, width, lu.data());
 
-  const int keep = std::min(rows, width);
-  CandidatesT<T> c;
-  c.count = keep;
-  c.width = width;
-  c.vals.resize(static_cast<std::size_t>(keep) * width);
-  c.src.assign(src.begin(), src.begin() + keep);
-  for (int j = 0; j < width; ++j)
-    std::copy_n(w.data() + static_cast<std::size_t>(j) * rows, keep,
-                c.vals.data() + static_cast<std::size_t>(j) * keep);
+  // Winners' original values come from the children's candidate sets.
+  const int keep = static_cast<int>(pos.size());
+  CandidatesT<T> c = make_candidates<T>(keep, width);
+  for (int q = 0; q < keep; ++q) {
+    const bool from_x = pos[q] < x.count;
+    const CandidatesT<T>& from = from_x ? x : y;
+    const int r = from_x ? pos[q] : pos[q] - x.count;
+    c.src[q] = from.src[r];
+    for (int j = 0; j < width; ++j)
+      c.vals[q + static_cast<std::size_t>(j) * keep] =
+          from.vals[r + static_cast<std::size_t>(j) * from.count];
+  }
   return c;
 }
 
@@ -136,31 +171,30 @@ template CandidatesT<float> tslu_merge<float>(const CandidatesT<float>&,
 
 std::vector<int> build_swap_list(const std::vector<int>& winners, int row0,
                                  int count) {
-  // Track current positions of displaced rows only; everything else is at
-  // its home position.  Winner i moves to position row0 + i.
-  std::unordered_map<int, int> loc;     // row -> current position
-  std::unordered_map<int, int> at;      // position -> current row
-  auto pos_of = [&](int row) {
-    auto it = loc.find(row);
-    return it == loc.end() ? row : it->second;
-  };
-  auto row_at = [&](int pos) {
-    auto it = at.find(pos);
-    return it == at.end() ? pos : it->second;
-  };
+  // Winner i moves to position row0 + i.  Only two kinds of position
+  // matter: where each winner currently is (cur), and which winner, if
+  // any, currently sits at each window position row0 + k (widx).  A row
+  // pushed out of the window only ever moves to where a winner was, so
+  // these two flat arrays track every displaced row that can be read
+  // again — at most 2 * count of them.
+  std::vector<int> cur(winners.begin(), winners.begin() + count);
+  std::vector<int> widx(count, -1);
+  for (int i = 0; i < count; ++i)
+    if (winners[i] >= row0 && winners[i] < row0 + count)
+      widx[winners[i] - row0] = i;
   std::vector<int> swaps(count);
   for (int i = 0; i < count; ++i) {
-    const int g = winners[i];
     const int p1 = row0 + i;
-    const int p2 = pos_of(g);
+    const int p2 = cur[i];
     swaps[i] = p2;
-    if (p1 != p2) {
-      const int r1 = row_at(p1);
-      loc[g] = p1;
-      at[p1] = g;
-      loc[r1] = p2;
-      at[p2] = r1;
-    }
+    if (p1 == p2) continue;
+    // The row at p1 moves to p2, which is never an earlier window slot:
+    // those already hold earlier winners.
+    const int w1 = widx[i];
+    if (w1 >= 0) cur[w1] = p2;
+    if (p2 >= row0 && p2 < row0 + count) widx[p2 - row0] = w1;
+    widx[i] = i;
+    cur[i] = p1;
   }
   return swaps;
 }

@@ -52,11 +52,23 @@ void tournament_select(int rows, int width, float* w, int ldw, int* src);
 
 /// Leaf step: gather the given tiles of panel column `kcol` (tile rows in
 /// `tile_rows`, ascending) from `a`, select, and return the winner set.
+///
+/// One-copy selection (leaf and merge alike): the rows are gathered once,
+/// straight into the scratch that GEPP factors in place.  The winners'
+/// positions come from replaying the pivot swaps on an index vector, and
+/// their original values are then copied from where they already live —
+/// the packed panel for a leaf (it stays read-only until the panel's
+/// finalize task), the children's candidate sets for a merge.
+/// tournament_select instead factors a second copy and replays every
+/// swap across the rows.  getrf_recursive sees the same input either
+/// way, so pivots, winners and candidate bits are identical; the one-
+/// copy path just skips a copy and the row replay.
 template <class T>
 CandidatesT<T> tslu_leaf(const layout::PackedMatrixT<T>& a, int kcol,
                          const std::vector<int>& tile_rows);
 
-/// Merge step: stack two candidate sets, select, return the winner set.
+/// Merge step: stack two candidate sets, select, return the winner set
+/// (one-copy selection, as for the leaf).
 template <class T>
 CandidatesT<T> tslu_merge(const CandidatesT<T>& x, const CandidatesT<T>& y);
 
@@ -71,6 +83,9 @@ extern template CandidatesT<float> tslu_merge<float>(const CandidatesT<float>&,
 
 /// Turn the root winners into a LAPACK-style swap list relative to panel
 /// top row `row0`: result[i] = absolute row swapped with row (row0 + i).
+/// Tracks only the current position of each winner and which winner sits
+/// at each of the `count` window rows: flat O(count) arrays, no hashing.
+/// Winners must be distinct.
 std::vector<int> build_swap_list(const std::vector<int>& winners, int row0,
                                  int count);
 

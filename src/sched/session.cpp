@@ -48,12 +48,23 @@ FusedRunResult Session::run_fused(std::vector<FusedJob>& jobs,
   // order and round-robins across jobs at equal original priority.
   TaskGraph fused;
   std::vector<int> offset(njobs + 1, 0);
+  const int p = team_->size();
   for (int j = 0; j < njobs; ++j) {
     assert(jobs[j].graph != nullptr);
     offset[j] = fused.append(*jobs[j].graph,
                              static_cast<std::uint64_t>(njobs),
                              static_cast<std::uint64_t>(j));
     res.jobs[j].tasks = jobs[j].graph->num_tasks();
+    // Owner rotation (fused_owner_shift): job j's owned work and locality
+    // tags start on thread j % p, so the jobs' panel-0 tasks spread over
+    // the team instead of all landing on thread 0.
+    const int shift = fused_owner_shift(j, p);
+    if (shift == 0) continue;
+    for (int id = offset[j]; id < fused.num_tasks(); ++id) {
+      Task& t = fused.task(id);
+      if (t.owner >= 0) t.owner = (t.owner + shift) % p;
+      if (t.tag >= 0) t.tag = (t.tag + shift) % p;
+    }
   }
   offset[njobs] = fused.num_tasks();
   res.fused_tasks = fused.num_tasks();

@@ -77,6 +77,21 @@ struct FusedRunResult {
   int fused_edges = 0;                ///< edges in the merged graph
 };
 
+/// The static-owner rotation Session::run_fused applies to job `job` of a
+/// fused run on a `team_size`-thread team: that job's owned tasks run on
+/// thread (owner + shift) % team_size instead of owner % team_size, and
+/// its locality tags move the same way.  Every job's grid maps its
+/// panel-0 and merge/finalize work to owner 0, so without the rotation
+/// all jobs of a batch stack their critical-path tasks on thread 0 — the
+/// job-granularity form of the paper's static load balance.  The owner
+/// only picks which thread runs a task, never its operands, so the
+/// rotation leaves every bit unchanged.  Anything that places data by
+/// owner for a fused job (the first-touch pack, owner_runner_from) must
+/// apply the same shift to stay on the thread that runs the tasks.
+inline int fused_owner_shift(int job, int team_size) {
+  return team_size > 1 ? job % team_size : 0;
+}
+
 class Session {
  public:
   /// Spawns and owns the session's thread team.
@@ -113,10 +128,11 @@ class Session {
   /// Per-job completion is detected by a remaining-task counter
   /// decremented in the engines' shared completion path
   /// (RunHooks::on_retire); a caller-supplied hooks.on_retire still runs
-  /// (with the fused id) before the internal accounting.  Counts as one
-  /// run toward runs()/totals().  Each job's results are bit-identical to
-  /// running its graph alone: the fusion only widens the scheduler's
-  /// choice of order, never the operands.
+  /// (with the fused id) before the internal accounting.  Job j's static
+  /// owners and locality tags are rotated by fused_owner_shift(j,
+  /// threads()).  Counts as one run toward runs()/totals().  Each job's
+  /// results are bit-identical to running its graph alone: the fusion
+  /// only widens the scheduler's choice of order, never the operands.
   FusedRunResult run_fused(std::vector<FusedJob>& jobs,
                            const RunHooks& hooks = {},
                            std::string_view engine_name = "hybrid");

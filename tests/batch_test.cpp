@@ -14,6 +14,7 @@
 #include <mutex>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/core/batch.h"
@@ -467,6 +468,92 @@ TEST(BatchedRun, FusedRunCarriesMixedPrecisionJobs) {
   // Factor-only float job: same float-accuracy factors either way.
   EXPECT_EQ(test::max_abs_diff(seq_fo[0], fus_fo[0]), 0.0);
   EXPECT_EQ(fus.jobs[2].factorization.ipiv, seq.jobs[2].factorization.ipiv);
+}
+
+// One fused call that takes all three epilogue paths: double jobs below
+// the team_share() floor (rhs and factor-only) run whole on one team
+// thread each, the Float32 job and the job above the floor run from the
+// caller.  Every job must reproduce its Sequential result bit for bit.
+TEST(BatchedRun, FusedEpiloguePathsMatchSequentialBitForBit) {
+  std::vector<Matrix> as;
+  as.push_back(Matrix::random(96, 96, 2271));
+  as.push_back(Matrix::random(530, 530, 2272));  // above the floor
+  as.push_back(Matrix::random(72, 72, 2273));
+  as.push_back(Matrix::random(64, 64, 2274));    // float32
+  std::vector<Matrix> bs;
+  bs.push_back(Matrix::random(96, 2, 2275));
+  bs.push_back(Matrix::random(530, 1, 2276));
+  bs.push_back(Matrix::random(72, 1, 2277));
+  bs.push_back(Matrix::random(64, 1, 2278));
+  const std::vector<Matrix> factor_only = {Matrix::random(80, 80, 2279),
+                                           Matrix::random(50, 50, 2280)};
+  ASSERT_GT(core::team_share(sizeof(double) * 530 * 530, 4), 1);
+  ASSERT_EQ(core::team_share(sizeof(double) * 96 * 96, 4), 1);
+
+  auto make_jobs = [&](std::vector<Matrix>& fo) {
+    std::vector<core::BatchJob> jobs(as.size() + fo.size());
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+      jobs[i].options = batch_options("hybrid", true);
+      jobs[i].options.b = 48;
+      if (i < as.size()) {
+        jobs[i].a = &as[i];
+        jobs[i].rhs = &bs[i];
+      } else {
+        jobs[i].a = &fo[i - as.size()];
+      }
+    }
+    jobs[3].options.precision = core::Precision::Float32;
+    jobs[3].options.max_refine = 8;
+    return jobs;
+  };
+
+  std::vector<Matrix> seq_fo = factor_only, fus_fo = factor_only;
+  std::vector<core::BatchJob> seq_jobs = make_jobs(seq_fo);
+  sched::Session seq_session(sched::SessionOptions{4, false});
+  core::BatchRunResult seq =
+      core::batched_run(seq_jobs, seq_session, core::BatchMode::Sequential);
+
+  std::vector<core::BatchJob> fus_jobs = make_jobs(fus_fo);
+  sched::Session fus_session(sched::SessionOptions{4, false});
+  core::BatchRunResult fus =
+      core::batched_run(fus_jobs, fus_session, core::BatchMode::Fused);
+
+  ASSERT_EQ(fus.jobs.size(), seq.jobs.size());
+  for (std::size_t i = 0; i < fus.jobs.size(); ++i) {
+    SCOPED_TRACE("job " + std::to_string(i));
+    EXPECT_EQ(fus.jobs[i].factorization.ipiv, seq.jobs[i].factorization.ipiv);
+    EXPECT_EQ(fus.jobs[i].factorization.stats.precision,
+              seq.jobs[i].factorization.stats.precision);
+    if (i < as.size()) {
+      EXPECT_TRUE(test::same_bits(fus.jobs[i].x, seq.jobs[i].x));
+      EXPECT_TRUE(test::same_bits(fus.jobs[i].residual, seq.jobs[i].residual));
+      EXPECT_EQ(fus.jobs[i].refine_steps, seq.jobs[i].refine_steps);
+      EXPECT_EQ(fus.jobs[i].used_fallback, seq.jobs[i].used_fallback);
+      EXPECT_LT(fus.jobs[i].residual, 1e-13);
+    } else {
+      EXPECT_TRUE(test::same_bits(fus_fo[i - as.size()],
+                                  seq_fo[i - as.size()]));
+    }
+  }
+}
+
+// The first-touch pack of fused job j fills owner g on the thread that
+// will run g's tasks after run_fused's rotation: (g + shift) % p.
+TEST(BatchedRun, FusedPackPlacesOwnersOnTheRotatedThreads) {
+  const int p = 4, nowners = 6;
+  sched::ThreadTeam team(p, false);
+  std::vector<std::thread::id> thread_of(p);
+  team.run([&](int tid) { thread_of[tid] = std::this_thread::get_id(); });
+  Options o = batch_options("hybrid", true);
+  for (int job : {0, 1, 3, 6}) {
+    SCOPED_TRACE("job " + std::to_string(job));
+    const int shift = sched::fused_owner_shift(job, p);
+    std::vector<std::thread::id> filled_by(nowners);
+    core::owner_runner_from(o, team, shift)(
+        nowners, [&](int g) { filled_by[g] = std::this_thread::get_id(); });
+    for (int g = 0; g < nowners; ++g)
+      EXPECT_EQ(filled_by[g], thread_of[(g + shift) % p]) << "owner " << g;
+  }
 }
 
 TEST(BatchedRun, CompletionCallbacksFireOncePerJob) {

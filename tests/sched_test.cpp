@@ -1149,6 +1149,45 @@ TEST(SessionFused, CallerRetireHookChainsBeforeAccounting) {
     ASSERT_EQ(retired[i].load(), 1) << "fused task " << i;
 }
 
+// The job-granularity static balance: p one-task jobs that all name owner
+// 0 would queue every task on thread 0; run_fused rotates job j's owners
+// by fused_owner_shift(j, p) = j % p, so they run on p distinct threads,
+// each still served from its owner's static queue.
+TEST(SessionFused, RotatesStaticOwnersPerJob) {
+  const int p = 4;
+  sched::Session session(sched::SessionOptions{p, false});
+  std::vector<TaskGraph> graphs(p);
+  for (TaskGraph& g : graphs) {
+    Task t;
+    t.owner = 0;
+    t.tag = 0;
+    g.add_task(t);
+    g.finalize();
+  }
+  std::vector<std::atomic<int>> ran_on(p);
+  std::vector<sched::FusedJob> jobs(p);
+  for (int j = 0; j < p; ++j) {
+    ran_on[j].store(-1);
+    jobs[j].graph = &graphs[j];
+    jobs[j].exec = [&ran_on, j](int, int tid) { ran_on[j].store(tid); };
+  }
+  sched::FusedRunResult fr = session.run_fused(jobs, {}, "hybrid");
+  std::set<int> tids;
+  for (int j = 0; j < p; ++j) {
+    SCOPED_TRACE("job " + std::to_string(j));
+    EXPECT_EQ(ran_on[j].load(), sched::fused_owner_shift(j, p));
+    tids.insert(ran_on[j].load());
+    // Still a static pop: the rotation moves the owner, not the queue.
+    EXPECT_EQ(fr.jobs[j].static_pops, 1u);
+    EXPECT_EQ(fr.jobs[j].dynamic_pops, 0u);
+  }
+  EXPECT_EQ(static_cast<int>(tids.size()), p);
+  // The caller's graphs are left as they were: the shift lives in the
+  // fused copy only.
+  for (const TaskGraph& g : graphs) EXPECT_EQ(g.task(0).owner, 0);
+  EXPECT_EQ(sched::fused_owner_shift(5, 1), 0);
+}
+
 TEST(EngineStats, MergeAccumulatesAndReportFormats) {
   sched::EngineStats a, b;
   a.static_pops = 5;

@@ -5,6 +5,7 @@
 
 #include <memory>
 #include <string>
+#include <thread>
 
 #include "src/blas/blas.h"
 #include "src/core/calu.h"
@@ -349,6 +350,26 @@ TEST(Gesv, MatchesPublicStepSequenceBitForBit) {
       }
     }
   }
+}
+
+// A pinned Session pins its caller to one cpu.  With the default
+// thread count the session-taking drivers must size the grid from the
+// session's team, not from that narrowed affinity mask (which gave a 1x1
+// grid): default Options solve bit-identically to threads = 4.  Runs on
+// its own thread so the pinning does not leak into later tests.
+TEST(Gesv, DefaultThreadsOnPinnedSessionUseTheSessionTeam) {
+  std::thread([] {
+    sched::Session session(sched::SessionOptions{4, true});
+    const int n = 240;
+    const Matrix a = Matrix::random(n, n, 370);
+    const Matrix b = Matrix::random(n, 1, 371);
+    Options four;
+    four.threads = 4;
+    const core::SolveResult want = core::gesv(a, b, four, session);
+    const core::SolveResult got = core::gesv(a, b, Options{}, session);
+    EXPECT_TRUE(test::same_bits(got.x, want.x));
+    EXPECT_EQ(got.factorization.ipiv, want.factorization.ipiv);
+  }).join();
 }
 
 TEST(SolveFactored, TeamSplitResidualMatchesSerialBits) {

@@ -3,11 +3,16 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <numeric>
+#include <random>
 #include <set>
+#include <vector>
 
 #include "src/blas/blas.h"
 #include "src/core/tslu.h"
 #include "src/layout/matrix.h"
+#include "src/layout/packed.h"
 #include "tests/test_util.h"
 
 namespace calu {
@@ -158,6 +163,29 @@ TEST(BuildSwapList, ChainOfDisplacements) {
     EXPECT_EQ(a(i, 0), orig(winners[i], 0)) << i;
 }
 
+TEST(BuildSwapList, RandomizedReplayPlacesEveryWinner) {
+  // Seeded random windows and winner orders: applying the swap list to an
+  // identity row vector must put winners[i] at position row0 + i.
+  std::mt19937_64 rng(110);
+  for (int trial = 0; trial < 500; ++trial) {
+    const int m = 1 + static_cast<int>(rng() % 300);
+    const int row0 = static_cast<int>(rng() % m);
+    const int count = 1 + static_cast<int>(rng() % std::min(m - row0, 64));
+    std::vector<int> rows(m - row0);
+    std::iota(rows.begin(), rows.end(), row0);
+    std::shuffle(rows.begin(), rows.end(), rng);
+    const std::vector<int> winners(rows.begin(), rows.begin() + count);
+    const std::vector<int> swaps = build_swap_list(winners, row0, count);
+    ASSERT_EQ(static_cast<int>(swaps.size()), count);
+    std::vector<int> v(m);
+    std::iota(v.begin(), v.end(), 0);
+    for (int i = 0; i < count; ++i) std::swap(v[row0 + i], v[swaps[i]]);
+    for (int i = 0; i < count; ++i)
+      ASSERT_EQ(v[row0 + i], winners[i])
+          << "trial " << trial << " winner " << i;
+  }
+}
+
 TEST(TournamentSelect, KeepsLargestPivotFirst) {
   // One column: the winner must be the max-magnitude entry.
   const int rows = 50;
@@ -200,6 +228,127 @@ TEST(TsluMergeLeaf, WinnersAreDistinctRows) {
     seen.insert(s);
   }
   EXPECT_GE(static_cast<int>(seen.size()), 1);
+}
+
+// ------------------------------------- one-copy tournament candidates ---
+
+/// Reference candidate set: gather `rows` x `width` values (and their
+/// source rows) into a fresh buffer, select with tournament_select, and
+/// keep the first min(rows, width) rows — the copy-then-replay selection
+/// tslu_leaf and tslu_merge must reproduce bit for bit.
+template <class T>
+core::CandidatesT<T> reference_select(std::vector<T> w, std::vector<int> src,
+                                      int width) {
+  const int rows = static_cast<int>(src.size());
+  core::tournament_select(rows, width, w.data(), rows, src.data());
+  const int keep = std::min(rows, width);
+  core::CandidatesT<T> c;
+  c.count = keep;
+  c.width = width;
+  c.src.assign(src.begin(), src.begin() + keep);
+  for (int j = 0; j < width; ++j)
+    for (int i = 0; i < keep; ++i)
+      c.vals.push_back(w[i + static_cast<std::size_t>(j) * rows]);
+  return c;
+}
+
+/// Gathers the given tiles of panel column `kcol` the way a leaf sees
+/// them: tile rows stacked in order, original values, absolute row ids.
+template <class T>
+core::CandidatesT<T> reference_leaf(const layout::PackedMatrixT<T>& a,
+                                    int kcol, const std::vector<int>& tiles) {
+  const layout::Tiling& t = a.tiling();
+  const int width = t.tile_cols(kcol);
+  std::vector<int> src;
+  for (int I : tiles)
+    for (int i = 0; i < t.tile_rows(I); ++i) src.push_back(t.row0(I) + i);
+  const int rows = static_cast<int>(src.size());
+  std::vector<T> w(static_cast<std::size_t>(rows) * width);
+  int r = 0;
+  for (int I : tiles) {
+    const layout::BlockRefT<T> blk = a.block(I, kcol);
+    for (int j = 0; j < width; ++j)
+      for (int i = 0; i < blk.rows; ++i)
+        w[r + i + static_cast<std::size_t>(j) * rows] =
+            blk.ptr[i + static_cast<std::size_t>(j) * blk.ld];
+    r += blk.rows;
+  }
+  return reference_select(std::move(w), std::move(src), width);
+}
+
+template <class T>
+core::CandidatesT<T> reference_merge(const core::CandidatesT<T>& x,
+                                     const core::CandidatesT<T>& y) {
+  const int width = x.width;
+  const int rows = x.count + y.count;
+  std::vector<T> w(static_cast<std::size_t>(rows) * width);
+  for (int j = 0; j < width; ++j) {
+    for (int i = 0; i < x.count; ++i)
+      w[i + static_cast<std::size_t>(j) * rows] =
+          x.vals[i + static_cast<std::size_t>(j) * x.count];
+    for (int i = 0; i < y.count; ++i)
+      w[x.count + i + static_cast<std::size_t>(j) * rows] =
+          y.vals[i + static_cast<std::size_t>(j) * y.count];
+  }
+  std::vector<int> src = x.src;
+  src.insert(src.end(), y.src.begin(), y.src.end());
+  return reference_select(std::move(w), std::move(src), width);
+}
+
+template <class T>
+bool same_candidates(const core::CandidatesT<T>& a,
+                     const core::CandidatesT<T>& b) {
+  return a.count == b.count && a.width == b.width && a.src == b.src &&
+         a.vals.size() == b.vals.size() &&
+         std::memcmp(a.vals.data(), b.vals.data(),
+                     sizeof(T) * a.vals.size()) == 0;
+}
+
+template <class T>
+void check_one_copy_candidates() {
+  // 70 x 40 at b = 16: tile rows 16,16,16,16,6 and tile cols 16,16,8, so
+  // the shapes below cover a partial last tile, a partial last panel
+  // column, rows < width, and (65 rows) a one-row leaf.
+  for (layout::Layout l :
+       {layout::Layout::ColumnMajor, layout::Layout::BlockCyclic,
+        layout::Layout::TwoLevelBlock}) {
+    for (int m : {70, 65}) {
+      SCOPED_TRACE(std::string(layout::layout_name(l)) +
+                   " m=" + std::to_string(m));
+      const layout::Matrix src = layout::Matrix::random(m, 40, 111 + m);
+      const auto a = layout::PackedMatrixT<T>::pack(src, l, 16,
+                                                    layout::Grid{2, 2});
+      const int last = a.tiling().mb() - 1;
+      for (int kcol : {0, 2}) {
+        const std::vector<std::vector<int>> leaf_tiles = {
+            {0, 1, 2, 3, last}, {0, 2, last}, {1, 3}, {last}, {2}};
+        std::vector<core::CandidatesT<T>> leaves;
+        for (const std::vector<int>& tiles : leaf_tiles) {
+          leaves.push_back(core::tslu_leaf(a, kcol, tiles));
+          EXPECT_TRUE(
+              same_candidates(leaves.back(), reference_leaf(a, kcol, tiles)))
+              << "kcol " << kcol << " leaf of " << tiles.size() << " tiles";
+        }
+        // Merges of full, partial and one-row candidate sets.
+        for (std::size_t x = 0; x < leaves.size(); ++x)
+          for (std::size_t y = 0; y < leaves.size(); ++y) {
+            if (x == y) continue;
+            EXPECT_TRUE(same_candidates(
+                core::tslu_merge(leaves[x], leaves[y]),
+                reference_merge(leaves[x], leaves[y])))
+                << "kcol " << kcol << " merge " << x << "+" << y;
+          }
+      }
+    }
+  }
+}
+
+TEST(TsluOneCopy, LeafAndMergeMatchGatheredReferenceDouble) {
+  check_one_copy_candidates<double>();
+}
+
+TEST(TsluOneCopy, LeafAndMergeMatchGatheredReferenceFloat) {
+  check_one_copy_candidates<float>();
 }
 
 }  // namespace
