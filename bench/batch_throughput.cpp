@@ -210,10 +210,10 @@ struct LocalityResult {
 
 /// Factors the same matrix under the topology-blind work-stealing
 /// baseline and the distance-aware numa-hierarchical engine, so the
-/// committed JSON carries a steals-by-class comparison.  The baseline
-/// does not classify its steals (by_class stays zero) — the comparison
-/// is "how much of the numa engine's stolen work stayed cache-near",
-/// with the baseline's total steal volume as the reference.
+/// committed JSON carries a steals-by-class comparison.  Both are the
+/// same Chase-Lev engine and classify every steal, so the two by_class
+/// histograms show how much more of the stolen work the topology-ordered
+/// victim walk keeps cache-near.
 std::vector<LocalityResult> steal_locality_sweep(int threads) {
   std::vector<LocalityResult> out;
   for (const char* name : {"work-stealing", "numa-hierarchical"}) {
@@ -264,7 +264,7 @@ void write_json(const char* path, const std::vector<Result>& results,
   std::fprintf(f, "  ],\n");
   // Steal-locality comparison (see steal_locality_sweep).  cross_fraction
   // = steals that left the L3 group (pkg + xpkg + unk classes) over total
-  // steals, or -1 for engines that do not classify.
+  // steals, or -1 when an engine stole nothing.
   const std::vector<LocalityResult> loc = steal_locality_sweep(threads);
   std::fprintf(f, "  \"steal_locality\": {\"topology\": \"%s\", "
                "\"engines\": [\n",

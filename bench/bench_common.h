@@ -31,14 +31,44 @@ inline int reps() { return std::max(1, env_int("CALU_BENCH_REPS", 2)); }
 
 /// Value of a `--engine=NAME` argument ("" when absent).  The profile and
 /// d-ratio sweep drivers accept it so the same figure can be reproduced
-/// under any registry executor (hybrid / locality-tags / work-stealing /
-/// priority-lookahead / user-registered) and compared.
+/// under any registry executor (sched::engine_names() or user-registered)
+/// and compared.
 inline std::string engine_flag(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
     if (a.rfind("--engine=", 0) == 0) return a.substr(9);
   }
   return {};
+}
+
+/// The paper's schedule names as executor selections — the one place a
+/// bench label maps to {engine, dratio}.  Static and dynamic are dratio 0
+/// and 1 on the "hybrid" engine, "hybrid(d)" is any split in between, and
+/// "work-steal*" is the Section-8 baseline engine over the same graph.
+struct ScheduleSpec {
+  const char* label;
+  const char* engine;
+  double dratio;
+};
+
+inline constexpr ScheduleSpec kStatic{"static", "hybrid", 0.0};
+inline constexpr ScheduleSpec kDynamic{"dynamic", "hybrid", 1.0};
+inline constexpr ScheduleSpec kWorkSteal{"work-steal*", "work-stealing", 0.0};
+inline constexpr ScheduleSpec hybrid_at(double d) {
+  return {"hybrid", "hybrid", d};
+}
+/// The spec a swept dratio lands on: static at 0, dynamic at 1, hybrid
+/// in between.
+inline constexpr ScheduleSpec at_dratio(double d) {
+  return d == 0.0 ? kStatic : d == 1.0 ? kDynamic : hybrid_at(d);
+}
+
+/// Sets `opt`'s executor selector from `s`; a non-empty `engine` (the
+/// --engine= flag) replaces the spec's engine and keeps its dratio.
+inline void apply(core::Options& opt, const ScheduleSpec& s,
+                  const std::string& engine = {}) {
+  opt.engine = engine.empty() ? s.engine : engine;
+  opt.dratio = s.dratio;
 }
 
 inline int numa_threads() {
@@ -112,7 +142,7 @@ inline Timing time_incpiv(const layout::Matrix& a0, int b,
     layout::PackedMatrix p = layout::PackedMatrix::pack(
         a0, layout::Layout::TwoLevelBlock, b,
         layout::Grid::best(team.size()));
-    core::IncpivFactor f = core::getrf_incpiv(p, team);
+    core::IncpivFactor f = core::getrf_incpiv(p, core::Options{}, team);
     total.merge(f.stats.engine);
     runs.push_back({f.stats.factor_seconds, f.stats.gflops, f.stats, {}});
   }

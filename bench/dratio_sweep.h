@@ -7,10 +7,9 @@
 
 namespace calu::bench {
 
-/// `engine` "" keeps the schedule→engine mapping; any registry name
-/// (e.g. "priority-lookahead") reruns the identical sweep under that
-/// executor so the paper's d-ratio curves can be compared across all
-/// engines.
+/// `engine` "" runs the "hybrid" engine; any registry name (e.g.
+/// "priority-lookahead") reruns the identical sweep under that executor so
+/// the paper's d-ratio curves can be compared across all engines.
 inline void dratio_sweep(const char* fig, layout::Layout lay, int threads,
                          const std::vector<int>& ns,
                          const char* paper_shape,
@@ -30,16 +29,10 @@ inline void dratio_sweep(const char* fig, layout::Layout lay, int threads,
       core::Options opt;
       opt.b = default_b(n);
       opt.layout = lay;
-      opt.dratio = d;
-      opt.engine = engine;
-      opt.schedule = d == 0.0   ? core::Schedule::Static
-                     : d == 1.0 ? core::Schedule::Dynamic
-                                : core::Schedule::Hybrid;
+      const ScheduleSpec s = at_dratio(d);
+      apply(opt, s, engine);
       Timing t = time_calu(a0, opt, team);
-      const char* name = d == 0.0   ? "static"
-                         : d == 1.0 ? "dynamic"
-                                    : "hybrid";
-      std::printf("%-8d %-10s %-12.0f %-10.2f %-12.4f\n", n, name, d * 100,
+      std::printf("%-8d %-10s %-12.0f %-10.2f %-12.4f\n", n, s.label, d * 100,
                   t.gflops, t.seconds);
     }
     std::fflush(stdout);

@@ -25,10 +25,7 @@ int main() {
         opt.b = default_b(n);
         opt.threads = threads;
         opt.layout = lay;
-        opt.dratio = d;
-        opt.schedule = d == 0.0   ? core::Schedule::Static
-                       : d == 1.0 ? core::Schedule::Dynamic
-                                  : core::Schedule::Hybrid;
+        apply(opt, at_dratio(d));
         // Median of reps.
         double best = 1e300, gf = 0;
         for (int r = 0; r < reps(); ++r) {
@@ -40,11 +37,9 @@ int main() {
             gf = f.stats.gflops;
           }
         }
-        const char* name = d == 0.0   ? "static"
-                           : d == 1.0 ? "dynamic"
-                                      : "hybrid";
         std::printf("%-8d %-10s %-10s %-12.0f %-10.2f %-12.4f\n", n,
-                    layout::layout_name(lay), name, d * 100, gf, best);
+                    layout::layout_name(lay), at_dratio(d).label, d * 100, gf,
+                    best);
         std::fflush(stdout);
       }
     }

@@ -29,16 +29,13 @@ int main() {
   spec.mean_us = 400.0;
   spec.jitter_us = 150.0;
 
-  for (auto [sched, d, name] :
-       {std::tuple{core::Schedule::Static, 0.0, "static"},
-        std::tuple{core::Schedule::Hybrid, 0.10, "hybrid(10%)"},
-        std::tuple{core::Schedule::Dynamic, 1.0, "dynamic"}}) {
+  for (const ScheduleSpec& s :
+       {kStatic, ScheduleSpec{"hybrid(10%)", "hybrid", 0.10}, kDynamic}) {
     for (bool noisy : {false, true}) {
       core::Options opt;
       opt.b = default_b(n);
       opt.threads = threads;
-      opt.schedule = sched;
-      opt.dratio = d;
+      apply(opt, s);
       opt.noise = noisy ? spec : noise::NoiseSpec{};
       double sum = 0.0, sum2 = 0.0;
       for (int r = 0; r < runs; ++r) {
@@ -52,7 +49,7 @@ int main() {
       }
       const double mean = sum / runs;
       const double var = std::max(0.0, sum2 / runs - mean * mean);
-      std::printf("%-22s %-8s %-12.4f %-10.2f\n", name,
+      std::printf("%-22s %-8s %-12.4f %-10.2f\n", s.label,
                   noisy ? "yes" : "no", mean,
                   100.0 * std::sqrt(var) / mean);
       std::fflush(stdout);

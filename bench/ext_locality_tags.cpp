@@ -20,19 +20,16 @@ int main() {
     layout::Matrix a0 = layout::Matrix::random(n, n, 42);
     for (layout::Layout lay :
          {layout::Layout::BlockCyclic, layout::Layout::TwoLevelBlock}) {
-      for (auto [sched, d, base] :
-           {std::tuple{core::Schedule::Dynamic, 1.0, "dynamic"},
-            std::tuple{core::Schedule::Hybrid, 0.3, "hybrid(30%)"}}) {
+      for (const ScheduleSpec& s :
+           {kDynamic, ScheduleSpec{"hybrid(30%)", "hybrid", 0.3}}) {
         for (bool tags : {false, true}) {
           core::Options opt;
           opt.b = default_b(n);
           opt.layout = lay;
-          opt.schedule = sched;
-          opt.dratio = d;
-          opt.locality_tags = tags;
+          apply(opt, s, tags ? "locality-tags" : "");
           Timing t = time_calu(a0, opt, team);
           std::printf("%-8d %-10s %-12s%-10s %-10.2f %-12.4f\n", n,
-                      layout::layout_name(lay), base,
+                      layout::layout_name(lay), s.label,
                       tags ? "+tags" : "", t.gflops, t.seconds);
           std::fflush(stdout);
         }

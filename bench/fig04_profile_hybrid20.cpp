@@ -9,10 +9,10 @@
 
 int main(int argc, char** argv) {
   using namespace calu::bench;
-  profile_run("Figure 4", calu::core::Schedule::Hybrid, 0.20,
+  profile_run("Figure 4", hybrid_at(0.20),
               calu::layout::Layout::BlockCyclic, "fig04_profile_hybrid20.svg",
               "almost no idle time: early panel finishers pick up dynamic "
               "tasks (red = panel, green = update)",
-              engine_flag(argc, argv).c_str());
+              engine_flag(argc, argv));
   return 0;
 }

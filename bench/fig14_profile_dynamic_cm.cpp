@@ -6,11 +6,10 @@
 
 int main(int argc, char** argv) {
   using namespace calu::bench;
-  profile_run("Figure 14", calu::core::Schedule::Dynamic, 1.0,
-              calu::layout::Layout::ColumnMajor,
+  profile_run("Figure 14", kDynamic, calu::layout::Layout::ColumnMajor,
               "fig14_profile_dynamic_cm.svg",
               "90% of threads idle after ~60% of total time — late-stage "
               "starvation of the fully dynamic CM variant",
-              engine_flag(argc, argv).c_str());
+              engine_flag(argc, argv));
   return 0;
 }

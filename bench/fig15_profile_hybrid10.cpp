@@ -6,11 +6,10 @@
 
 int main(int argc, char** argv) {
   using namespace calu::bench;
-  profile_run("Figure 15", calu::core::Schedule::Hybrid, 0.10,
-              calu::layout::Layout::TwoLevelBlock,
-              "fig15_profile_hybrid10.svg",
+  profile_run("Figure 15", hybrid_at(0.10),
+              calu::layout::Layout::TwoLevelBlock, "fig15_profile_hybrid10.svg",
               "idle time drastically reduced relative to Figure 1 (static) "
               "and Figure 14 (dynamic CM); threads stay busy to the end",
-              engine_flag(argc, argv).c_str());
+              engine_flag(argc, argv));
   return 0;
 }

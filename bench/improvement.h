@@ -25,13 +25,12 @@ inline void improvement_sweep(const char* fig, layout::Layout lay,
       core::Options opt;
       opt.b = default_b(n);
       opt.layout = lay;
-      opt.schedule = core::Schedule::Static;
+      apply(opt, kStatic);
       const Timing ts = time_calu(a0, opt, team);
-      opt.schedule = core::Schedule::Dynamic;
+      apply(opt, kDynamic);
       const Timing td = time_calu(a0, opt, team);
       for (double d : {0.10, 0.20}) {
-        opt.schedule = core::Schedule::Hybrid;
-        opt.dratio = d;
+        apply(opt, hybrid_at(d));
         const Timing th = time_calu(a0, opt, team);
         std::printf("%-8d %-8d %-9.0f %-13.1f %-13.1f %-10.1f\n", threads, n,
                     d * 100, (ts.seconds / th.seconds - 1.0) * 100.0,

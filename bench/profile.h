@@ -7,15 +7,16 @@
 
 namespace calu::bench {
 
-inline void profile_run(const char* fig, core::Schedule sched, double dratio,
+inline void profile_run(const char* fig, const ScheduleSpec& sched,
                         layout::Layout lay, const char* svg_name,
-                        const char* paper_shape, const char* engine = "") {
+                        const char* paper_shape,
+                        const std::string& engine = {}) {
   print_banner(fig, "execution timeline profile", paper_shape);
   const int n = full_scale() ? 5000 : 2500;
   const int b = 100;  // the paper's profile setup: n=2500, b=100, 16 cores
   const int threads = intel_threads();
   std::printf("# n=%d b=%d threads=%d schedule=%s(%.0f%% dyn) layout=%s\n",
-              n, b, threads, core::schedule_name(sched), dratio * 100,
+              n, b, threads, sched.label, sched.dratio * 100,
               layout::layout_name(lay));
 
   layout::Matrix a0 = layout::Matrix::random(n, n, 42);
@@ -23,12 +24,10 @@ inline void profile_run(const char* fig, core::Schedule sched, double dratio,
   trace::Recorder rec;
   core::Options opt;
   opt.b = b;
-  opt.schedule = sched;
-  opt.dratio = dratio;
+  apply(opt, sched, engine);  // "" keeps the spec's engine
   opt.layout = lay;
   opt.threads = threads;
   opt.recorder = &rec;
-  opt.engine = engine;  // "" keeps the schedule→engine mapping
   layout::PackedMatrix p =
       layout::PackedMatrix::pack(a0, lay, b, opt.resolved_grid());
   core::Factorization f = core::getrf(p, opt, &team);

@@ -7,8 +7,8 @@
 
 namespace calu::bench {
 
-/// `engine` "" keeps each variant's schedule→engine mapping; any registry
-/// name (e.g. "numa-hierarchical") reruns every row under that executor.
+/// `engine` "" keeps each variant's engine; any registry name (e.g.
+/// "numa-hierarchical") reruns every row under that executor.
 inline void summary_sweep(const char* fig, int threads,
                           const std::vector<int>& ns,
                           const char* paper_shape,
@@ -23,22 +23,17 @@ inline void summary_sweep(const char* fig, int threads,
   struct Variant {
     const char* name;
     layout::Layout lay;
-    core::Schedule sched;
-    double dratio;
+    ScheduleSpec sched;
   };
   const Variant variants[] = {
-      {"BCL/static", layout::Layout::BlockCyclic, core::Schedule::Static, 0},
-      {"BCL/dynamic", layout::Layout::BlockCyclic, core::Schedule::Dynamic, 1},
-      {"BCL/static(10%dyn)", layout::Layout::BlockCyclic,
-       core::Schedule::Hybrid, 0.10},
-      {"2l-BL/static", layout::Layout::TwoLevelBlock, core::Schedule::Static,
-       0},
-      {"2l-BL/dynamic", layout::Layout::TwoLevelBlock,
-       core::Schedule::Dynamic, 1},
+      {"BCL/static", layout::Layout::BlockCyclic, kStatic},
+      {"BCL/dynamic", layout::Layout::BlockCyclic, kDynamic},
+      {"BCL/static(10%dyn)", layout::Layout::BlockCyclic, hybrid_at(0.10)},
+      {"2l-BL/static", layout::Layout::TwoLevelBlock, kStatic},
+      {"2l-BL/dynamic", layout::Layout::TwoLevelBlock, kDynamic},
       {"2l-BL/static(10%dyn)", layout::Layout::TwoLevelBlock,
-       core::Schedule::Hybrid, 0.10},
-      {"CM/dynamic (rectangular)", layout::Layout::ColumnMajor,
-       core::Schedule::Dynamic, 1},
+       hybrid_at(0.10)},
+      {"CM/dynamic (rectangular)", layout::Layout::ColumnMajor, kDynamic},
   };
   for (int n : ns) {
     layout::Matrix a0 = layout::Matrix::random(n, n, 42);
@@ -46,9 +41,7 @@ inline void summary_sweep(const char* fig, int threads,
       core::Options opt;
       opt.b = default_b(n);
       opt.layout = v.lay;
-      opt.schedule = v.sched;
-      opt.dratio = v.dratio;
-      opt.engine = engine;
+      apply(opt, v.sched, engine);
       Timing t = time_calu(a0, opt, team);
       std::printf("%-8d %-26s %-10.2f %-12.4f\n", n, v.name, t.gflops,
                   t.seconds);

@@ -2,6 +2,8 @@
 // the cells it explores (BCL and 2l-BL under static/dynamic/hybrid; CM
 // under dynamic only); this bench measures every explored cell, plus the
 // work-stealing baseline of Section 8 as an extra row.
+#include <string>
+
 #include "bench/bench_common.h"
 
 int main() {
@@ -18,34 +20,27 @@ int main() {
   sched::ThreadTeam team(threads, true);
   layout::Matrix a0 = layout::Matrix::random(n, n, 42);
 
-  struct Cell {
-    core::Schedule sched;
-    double dratio;
-    const char* name;
-  };
-  const Cell cells[] = {
-      {core::Schedule::Static, 0.0, "static"},
-      {core::Schedule::Dynamic, 1.0, "dynamic"},
-      {core::Schedule::Hybrid, 0.10, "static(10%dyn)"},
-      {core::Schedule::WorkStealing, 0.0, "work-steal*"},
+  const ScheduleSpec cells[] = {
+      kStatic,
+      kDynamic,
+      {"static(10%dyn)", "hybrid", 0.10},
+      kWorkSteal,
   };
   std::printf("%-22s", "layout\\schedule");
-  for (const Cell& c : cells) std::printf("%-16s", c.name);
+  for (const ScheduleSpec& c : cells) std::printf("%-16s", c.label);
   std::printf("\n");
 
   for (layout::Layout lay :
        {layout::Layout::BlockCyclic, layout::Layout::TwoLevelBlock,
         layout::Layout::ColumnMajor}) {
     std::printf("%-22s", layout::layout_name(lay));
-    for (const Cell& c : cells) {
-      const bool in_paper =
-          lay != layout::Layout::ColumnMajor ||
-          c.sched == core::Schedule::Dynamic;
+    for (const ScheduleSpec& c : cells) {
+      const bool in_paper = lay != layout::Layout::ColumnMajor ||
+                            std::string(c.label) == kDynamic.label;
       core::Options opt;
       opt.b = default_b(n);
       opt.layout = lay;
-      opt.schedule = c.sched;
-      opt.dratio = c.dratio;
+      apply(opt, c);
       Timing t = time_calu(a0, opt, team);
       char buf[32];
       std::snprintf(buf, sizeof buf, "%.2f%s", t.gflops,

@@ -64,10 +64,7 @@ int run(const char* path, int threads, int nreps) {
       core::Options opt;
       opt.b = bench::default_b(n);
       opt.layout = layout::Layout::BlockCyclic;
-      opt.dratio = d;
-      opt.schedule = d == 0.0   ? core::Schedule::Static
-                     : d == 1.0 ? core::Schedule::Dynamic
-                                : core::Schedule::Hybrid;
+      bench::apply(opt, bench::at_dratio(d));
       const bench::Timing t = bench::time_calu(a0, opt, team, nreps);
       if (best_s == 0.0 || t.seconds < best_s) {
         best_s = t.seconds;

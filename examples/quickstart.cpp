@@ -18,11 +18,11 @@ int main(int argc, char** argv) {
 
   // CALU with the paper's recommended configuration: block-cyclic layout,
   // static scheduling with a 10% dynamic section, b = 100.  The executor
-  // is picked by name from the engine registry; Schedule::Hybrid maps to
-  // "hybrid" (set opt.engine to override, e.g. "work-stealing").
+  // is picked by name from the engine registry: "hybrid" by default, or
+  // set opt.engine, e.g. "work-stealing".  dratio 0 / 1 is fully static /
+  // fully dynamic.
   core::Options opt;
   opt.b = 100;
-  opt.schedule = core::Schedule::Hybrid;
   opt.dratio = 0.10;
   opt.layout = layout::Layout::BlockCyclic;
 

@@ -49,7 +49,7 @@ int main(int argc, char** argv) {
   {  // Incremental pivoting.
     layout::PackedMatrix p = layout::PackedMatrix::pack(
         a0, layout::Layout::TwoLevelBlock, b, layout::Grid::best(threads));
-    core::IncpivFactor f = core::getrf_incpiv(p, team);
+    core::IncpivFactor f = core::getrf_incpiv(p, core::Options{}, team);
     layout::Matrix x = rhs;
     f.solve(x);
     std::printf("%-34s %14.2e\n", "incpiv (pairwise pivoting)",

@@ -337,16 +337,6 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
 
 }  // namespace
 
-const char* schedule_name(Schedule s) {
-  switch (s) {
-    case Schedule::Static: return "static";
-    case Schedule::Dynamic: return "dynamic";
-    case Schedule::Hybrid: return "hybrid";
-    case Schedule::WorkStealing: return "work-stealing";
-  }
-  return "?";
-}
-
 const char* precision_name(Precision p) {
   switch (p) {
     case Precision::Double: return "fp64";
@@ -382,11 +372,6 @@ layout::Grid Options::resolved_grid() const {
 }
 
 double Options::resolved_dratio() const {
-  switch (schedule) {
-    case Schedule::Static: return 0.0;
-    case Schedule::Dynamic: return 1.0;
-    default: break;
-  }
   const double d =
       tune != TuneMode::Off ? tune::decision_for(*this).dratio : dratio;
   if (d < 0.0 || d > 1.0) {
@@ -411,8 +396,6 @@ int Options::resolved_b() const {
 
 std::string Options::resolved_engine() const {
   if (!engine.empty()) return engine;
-  if (schedule == Schedule::WorkStealing) return "work-stealing";
-  if (locality_tags) return "locality-tags";
   if (tune != TuneMode::Off) return tune::decision_for(*this).engine;
   return "hybrid";
 }
@@ -466,8 +449,6 @@ sched::RunHooks run_hooks_from(const Options& opt, int team_size,
                                std::unique_ptr<noise::Injector>& injector) {
   sched::RunHooks hooks;
   hooks.recorder = opt.recorder;
-  hooks.locality_tags = opt.locality_tags;
-  hooks.ws_seed = opt.ws_seed;
   hooks.lookahead_depth = opt.resolved_lookahead();
   if (opt.noise.enabled()) {
     injector = std::make_unique<noise::Injector>(opt.noise, team_size);

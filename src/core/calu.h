@@ -8,9 +8,9 @@
 // global queue in DFS order.  Threads always prefer their static queue
 // (progress on the critical path, data locality) and fall back to the
 // dynamic queue when idle — Algorithm 1's dynamic_tasks().  Static and
-// dynamic scheduling are the dratio = 0 / 1 degenerate cases; a
-// work-stealing executor over the same graph is provided as the
-// related-work baseline.
+// dynamic scheduling are dratio = 0 / 1 on the "hybrid" engine; the
+// related-work baseline is engine = "work-stealing" over the same graph.
+// Options::engine + Options::dratio are the whole executor selector.
 #pragma once
 
 #include <cstddef>
@@ -29,15 +29,6 @@
 #include "src/trace/trace.h"
 
 namespace calu::core {
-
-enum class Schedule {
-  Static,        // 100% static (dratio forced to 0)
-  Dynamic,       // 100% dynamic (dratio forced to 1)
-  Hybrid,        // static(dratio% dynamic) — the paper's contribution
-  WorkStealing,  // Cilk-style baseline over the same task graph (Section 8)
-};
-
-const char* schedule_name(Schedule s);
 
 /// Element precision a factorization runs at.  Float32 runs the SAME task
 /// graph and engine on a float copy of the packed matrix (the engines are
@@ -71,8 +62,9 @@ const char* tune_mode_name(TuneMode m);
 
 struct Options {
   int b = 100;                // tile size (the paper uses b = 100)
-  double dratio = 0.10;       // fraction of panels scheduled dynamically
-  Schedule schedule = Schedule::Hybrid;
+  /// Fraction of panels scheduled dynamically: 0 is fully static, 1 fully
+  /// dynamic, anything between the paper's hybrid.
+  double dratio = 0.10;
   layout::Layout layout = layout::Layout::BlockCyclic;
   int threads = 0;            // 0 = all hardware threads
   int pr = 0, pc = 0;         // thread grid; 0 = near-square auto
@@ -90,16 +82,12 @@ struct Options {
   /// bits are identical either way; off restores the serial caller-
   /// thread pack (useful as the "remote pages" baseline in benches).
   bool first_touch = true;
-  /// Section-9 extension: locality-tagged dynamic queues (per-thread tag
-  /// buckets instead of one shared queue; DFS order kept within buckets).
-  bool locality_tags = false;
   trace::Recorder* recorder = nullptr;  // optional timeline capture
   noise::NoiseSpec noise{};             // optional transient-load injection
-  std::uint64_t ws_seed = 7;            // work-stealing victim RNG seed
-  /// Executor registry name ("hybrid", "work-stealing", "locality-tags",
-  /// "priority-lookahead", or any engine registered via
-  /// sched::register_engine).  Empty = derive from `schedule` and
-  /// `locality_tags`; see resolved_engine().
+  /// Executor registry name ("hybrid", "locality-tags", "work-stealing",
+  /// "numa-hierarchical", "priority-lookahead", or any engine registered
+  /// via sched::register_engine).  Empty = "hybrid", or the tuned engine
+  /// under Auto/Force; see resolved_engine().
   std::string engine;
   /// "priority-lookahead" window: panel-column tasks within this many
   /// panels of the completion frontier are promoted to the engine's
@@ -118,8 +106,7 @@ struct Options {
   PriorityClass priority_class = PriorityClass::Interactive;
   /// Autotuning of {dratio, b, engine, lookahead_depth}: Off uses the
   /// fields above verbatim; Auto/Force resolve them from the per-host
-  /// tuning profile (explicitly-set `engine` and Static/Dynamic
-  /// `schedule` still win — tuning never overrides an explicit ask).
+  /// tuning profile (an explicitly set `engine` still wins).
   TuneMode tune = TuneMode::Off;
   /// Problem-size key for the tuner (min(m, n)).  The factorization
   /// drivers stamp it from the matrix when left 0, so callers never set
@@ -129,18 +116,15 @@ struct Options {
   int resolved_threads() const;
   layout::Grid resolved_grid() const;
   /// `dratio` clamped to [0, 1] (out-of-range values warn once per
-  /// process), with Schedule::Static/Dynamic pinning 0/1 and
-  /// TuneMode::Auto/Force substituting the tuned fraction.
+  /// process), with TuneMode::Auto/Force substituting the tuned fraction.
   double resolved_dratio() const;
   /// Tile size actually used by the Matrix-level drivers: `b`, or the
   /// tuned tile size under Auto/Force once tune_n is known.  The
   /// PackedMatrix-level entry points keep the caller's packing (a packed
   /// matrix's b cannot be re-chosen after the fact).
   int resolved_b() const;
-  /// The registry key actually used: `engine` when set, else
-  /// "work-stealing" for Schedule::WorkStealing, "locality-tags" when
-  /// locality_tags is on, the tuned engine under Auto/Force, "hybrid"
-  /// otherwise.
+  /// The registry key actually used: `engine` when set, else the tuned
+  /// engine under Auto/Force, "hybrid" otherwise.
   std::string resolved_engine() const;
   /// `lookahead_depth`, or the tuned window under Auto/Force.
   int resolved_lookahead() const;

@@ -1,12 +1,10 @@
-// engine.cpp — EngineStats merge/report and the back-compat free-function
-// wrappers.  The concrete executors live in engine_hybrid.cpp and
-// engine_work_stealing.cpp; selection goes through engine_registry.cpp.
+// engine.cpp — EngineStats merge/report.  The concrete executors live in
+// engine_{hybrid,numa,priority}.cpp; selection goes through
+// engine_registry.cpp.
 #include "src/sched/engine.h"
 
 #include <algorithm>
 #include <cstdio>
-
-#include "src/sched/engine_registry.h"
 
 namespace calu::sched {
 
@@ -55,21 +53,6 @@ std::string EngineStats::report() const {
     out += buf;
   }
   return out;
-}
-
-EngineStats run_owner_queues(ThreadTeam& team, const TaskGraph& graph,
-                             const ExecFn& exec, const RunHooks& hooks) {
-  auto engine =
-      make_engine(hooks.locality_tags ? "locality-tags" : "hybrid");
-  return engine->run(team, graph, exec, hooks);
-}
-
-EngineStats run_work_stealing(ThreadTeam& team, const TaskGraph& graph,
-                              const ExecFn& exec, const RunHooks& hooks,
-                              std::uint64_t seed) {
-  RunHooks h = hooks;
-  h.ws_seed = seed;
-  return make_engine("work-stealing")->run(team, graph, exec, h);
 }
 
 }  // namespace calu::sched

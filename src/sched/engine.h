@@ -17,7 +17,11 @@
 //                     back to other shards round-robin.
 //   "work-stealing" — the related-work baseline (Section 8): ready tasks
 //                     go to the spawning thread's lock-free Chase-Lev
-//                     deque; idle threads steal FIFO from random victims.
+//                     deque; idle threads steal FIFO, walking the other
+//                     threads from a random start.
+//   "numa-hierarchical" — the same Chase-Lev engine with roots seeded to
+//                     their owners and victims walked nearest topology
+//                     class first (Beaumont & Marchal).
 //   "priority-lookahead" — dynamic look-ahead (à la arXiv:1804.07017):
 //                     ready tasks go to per-thread mutable priority
 //                     queues, but a panel-column task (P / panel L / pL)
@@ -29,8 +33,7 @@
 //
 // Engines are obtained by name from the registry (engine_registry.h) so
 // drivers, benches, and examples never hard-wire an executor; new policies
-// (priority look-ahead, NUMA-aware stealing, batched multi-solve) plug in
-// by registering a factory.
+// plug in by registering a factory.
 #pragma once
 
 #include <atomic>
@@ -57,11 +60,6 @@ using ExecFn = std::function<void(int id, int tid)>;
 struct RunHooks {
   trace::Recorder* recorder = nullptr;  // optional timeline recording
   noise::Injector* injector = nullptr;  // optional transient-load injection
-  /// Makes the "hybrid" engine behave as "locality-tags" (kept so callers
-  /// holding a hybrid engine can flip the policy per run; selecting the
-  /// "locality-tags" engine from the registry sets it for you).
-  bool locality_tags = false;
-  std::uint64_t ws_seed = 7;  // work-stealing victim RNG seed
   /// "priority-lookahead" window: panel-column tasks whose step is within
   /// `lookahead_depth` panels of the completion frontier are promoted to
   /// the shared urgent queue.  Other engines ignore it.
@@ -91,8 +89,8 @@ struct EngineStats {
   std::uint64_t promotions = 0;
   /// Successful steals bucketed by the topology distance between thief
   /// and victim (indexed by StealClass; see topology.h).  Filled by the
-  /// "numa-hierarchical" engine — sums to `steals` there; all-zero for
-  /// engines that do not classify their steals.
+  /// Chase-Lev engines ("work-stealing", "numa-hierarchical") — sums to
+  /// `steals` there; all-zero for engines that do not steal.
   std::uint64_t steals_by_class[kStealClassCount] = {};
   /// Team threads whose topology-derived pinning was verified effective
   /// at run time (ThreadTeam::pinned_count), or -1 when the engine did
@@ -147,20 +145,5 @@ class Engine {
                           const ExecFn& exec,
                           const RunHooks& hooks = {}) = 0;
 };
-
-// ---------------------------------------------------------------------
-// Back-compat free functions (thin wrappers over registry engines).  New
-// code should select an engine by name via engine_registry.h instead.
-
-/// Hybrid static/dynamic execution: "hybrid" (or "locality-tags" when
-/// hooks.locality_tags is set).
-EngineStats run_owner_queues(ThreadTeam& team, const TaskGraph& graph,
-                             const ExecFn& exec, const RunHooks& hooks = {});
-
-/// Chase-Lev randomized work stealing over the same graph (owner hints are
-/// ignored; thieves steal FIFO, the classic discipline).
-EngineStats run_work_stealing(ThreadTeam& team, const TaskGraph& graph,
-                              const ExecFn& exec, const RunHooks& hooks = {},
-                              std::uint64_t seed = 7);
 
 }  // namespace calu::sched

@@ -34,14 +34,13 @@ class HybridEngine final : public Engine {
     assert(graph.finalized());
     const int p = team.size();
     const int n = graph.num_tasks();
-    const bool locality = locality_tags_ || hooks.locality_tags;
 
     std::vector<PriorityTaskQueue> own(p);
     // Without locality tags the dynamic section is one logical DFS queue,
     // sharded for contention (a single shard when p == 1 keeps the strict
     // global order the degenerate case promises).  With tags it is
     // partitioned per thread so each serves its own tag's shard first.
-    const int nshards = locality ? p : std::min(p, 8);
+    const int nshards = locality_tags_ ? p : std::min(p, 8);
     ShardedReadyQueue global(nshards);
 
     detail::RunContext ctx(graph, exec, hooks);
@@ -49,7 +48,7 @@ class HybridEngine final : public Engine {
       const Task& t = graph.task(id);
       if (t.owner >= 0)
         own[t.owner % p].push(t.priority, id);
-      else if (locality && t.tag >= 0)
+      else if (locality_tags_ && t.tag >= 0)
         global.push_to(t.tag % nshards, t.priority, id);
       else
         global.push(t.priority, id);

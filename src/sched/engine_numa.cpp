@@ -1,30 +1,38 @@
-// engine_numa.cpp — topology-aware work stealing, registered as
+// engine_numa.cpp — the Chase-Lev work-stealing engine, registered as
+// "work-stealing" and, with topology-ordered victims, as
 // "numa-hierarchical".
 //
-// Same execution substrate as "work-stealing" (per-thread lock-free
-// Chase-Lev deques, owner pops LIFO, thieves steal FIFO), but victim
-// selection is distance-aware instead of uniform-random: each thread
-// sorts the other team members into steal-distance classes from the
-// machine topology (SMT sibling, shared L2, shared L3, same package,
-// cross package — see topology.h) and an idle thread raids the nearest
-// class first, only crossing an L3 boundary (and last of all a package
-// boundary) when everything closer is empty.  Within a class the start
-// position rotates pseudo-randomly so thieves do not convoy on one
-// victim.  This is the Beaumont/Marchal observation — on non-uniform
-// machines *where* you steal from dominates dynamic-scheduling cost —
-// grafted onto the paper's work-stealing baseline, and it pairs with the
-// first-touch block-cyclic placement: a steal that stays inside the L3
-// group keeps operating on pages the group faulted in.
+// Ready tasks go to the spawning thread's lock-free Chase-Lev deque; the
+// owner pops LIFO and idle threads steal FIFO — the classic Cilk
+// discipline.  The two registry names differ only in where the walk
+// starts and which victims come first:
 //
-// Every successful steal is bucketed by class into
-// EngineStats::steals_by_class and stamped on the trace event, so the
-// cross-class fraction is directly comparable against "work-stealing".
-// Roots are seeded owner-first (owner % p, like the hybrid engine) so
-// the static distribution starts aligned with data placement; unowned
-// roots round-robin.
+//   "work-stealing"      — the Section-8 related-work baseline.  Roots are
+//                          dealt round-robin (owner hints and priorities
+//                          are ignored) and a thief walks one list of all
+//                          other threads from a random start.
+//   "numa-hierarchical"  — roots are seeded to their owners first
+//                          (owner % p, like the hybrid engine), so the
+//                          static distribution starts aligned with the
+//                          first-touch data placement.  A thief sorts the
+//                          other threads into steal-distance classes from
+//                          the machine topology (SMT sibling, shared L2,
+//                          shared L3, same package, cross package — see
+//                          topology.h) and raids the nearest class first,
+//                          crossing an L3 (and last of all a package)
+//                          boundary only when everything closer is empty.
+//                          This is the Beaumont/Marchal observation: on
+//                          non-uniform machines *where* you steal from
+//                          dominates dynamic-scheduling cost.
+//
+// Within a victim group the start position rotates pseudo-randomly so
+// thieves do not convoy on one victim.  Both variants classify every
+// successful steal into EngineStats::steals_by_class and stamp it on the
+// trace event, so their cross-class fractions compare directly.
 #include <algorithm>
 #include <cassert>
 #include <chrono>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <thread>
@@ -39,52 +47,58 @@
 namespace calu::sched {
 namespace {
 
-/// Victims at one steal distance, nearest groups first in the per-thread
-/// list.  Groups are built once per run from the team's effective
-/// pinning; unpinned threads collapse into one kUnknown group, which
-/// degrades the policy to rotating round-robin — never worse than the
-/// uniform baseline.
-struct VictimGroup {
+/// Victim RNG seed; runs differ only through timing, never through it.
+constexpr std::uint64_t kVictimSeed = 7;
+
+struct Victim {
+  int tid = 0;
   StealClass cls = StealClass::kUnknown;
-  std::vector<int> victims;
 };
 
-std::vector<std::vector<VictimGroup>> build_victim_groups(
-    const ThreadTeam& team, const Topology& topo) {
+/// Per-thread victim walk: groups are tried in order, each from a random
+/// start.  Built once per run from the team's effective pinning;
+/// unpinned threads classify as kUnknown, which degrades the
+/// hierarchical walk to rotating round-robin — never worse than the
+/// uniform baseline.
+using VictimGroups = std::vector<std::vector<Victim>>;
+
+std::vector<VictimGroups> build_victim_groups(const ThreadTeam& team,
+                                              const Topology& topo,
+                                              bool hierarchical) {
   const int p = team.size();
-  std::vector<std::vector<VictimGroup>> groups(p);
+  std::vector<VictimGroups> groups(p);
   for (int t = 0; t < p; ++t) {
-    // Bucket the other threads by distance class from t...
-    std::vector<std::vector<int>> bucket(kStealClassCount);
-    for (int v = 0; v < p; ++v) {
-      if (v == t) continue;
-      const StealClass c = topo.classify(team.pinned_cpu(t),
-                                         team.pinned_cpu(v));
-      bucket[static_cast<int>(c)].push_back(v);
+    std::vector<Victim> others;
+    for (int v = 0; v < p; ++v)
+      if (v != t)
+        others.push_back(
+            {v, topo.classify(team.pinned_cpu(t), team.pinned_cpu(v))});
+    if (others.empty()) continue;
+    if (!hierarchical) {
+      groups[t].push_back(std::move(others));
+      continue;
     }
-    // ...then order the non-empty buckets by steal cost (measured
-    // latency when the probe ran, class rank otherwise).
-    std::vector<int> order;
-    for (int c = 0; c < kStealClassCount; ++c)
-      if (!bucket[c].empty()) order.push_back(c);
-    std::sort(order.begin(), order.end(), [&](int a, int b) {
-      return topo.steal_cost(static_cast<StealClass>(a)) <
-             topo.steal_cost(static_cast<StealClass>(b));
-    });
-    for (int c : order) {
-      VictimGroup g;
-      g.cls = static_cast<StealClass>(c);
-      g.victims = std::move(bucket[c]);
-      groups[t].push_back(std::move(g));
+    // Nearest class first, by steal cost (measured latency when the probe
+    // ran, class rank otherwise); one group per class.
+    std::stable_sort(others.begin(), others.end(),
+                     [&](const Victim& a, const Victim& b) {
+                       const double ca = topo.steal_cost(a.cls);
+                       const double cb = topo.steal_cost(b.cls);
+                       return ca != cb ? ca < cb : a.cls < b.cls;
+                     });
+    for (const Victim& v : others) {
+      if (groups[t].empty() || groups[t].back().front().cls != v.cls)
+        groups[t].emplace_back();
+      groups[t].back().push_back(v);
     }
   }
   return groups;
 }
 
-class NumaHierarchicalEngine final : public Engine {
+class ChaseLevEngine final : public Engine {
  public:
-  explicit NumaHierarchicalEngine(std::string name)
-      : name_(std::move(name)) {}
+  ChaseLevEngine(std::string name, bool hierarchical)
+      : name_(std::move(name)), hierarchical_(hierarchical) {}
 
   const std::string& name() const override { return name_; }
 
@@ -100,19 +114,17 @@ class NumaHierarchicalEngine final : public Engine {
       deques.push_back(std::make_unique<ChaseLevDeque>());
 
     detail::RunContext ctx(graph, exec, hooks);
-    // Owner-first root seeding: the thread that first-touched a panel's
-    // pages starts with its tasks; only unowned roots round-robin.
     {
       int next = 0;
       for (int t = 0; t < n; ++t)
         if (graph.initial_deps(t) == 0) {
-          const int owner = graph.task(t).owner;
+          const int owner = hierarchical_ ? graph.task(t).owner : -1;
           deques[owner >= 0 ? owner % p : next++ % p]->push_bottom(t);
         }
     }
 
-    const std::vector<std::vector<VictimGroup>> victim_groups =
-        build_victim_groups(team, system_topology());
+    const std::vector<VictimGroups> victim_groups =
+        build_victim_groups(team, system_topology(), hierarchical_);
 
     struct alignas(64) Rng {
       std::uint64_t state = 0;
@@ -125,7 +137,7 @@ class NumaHierarchicalEngine final : public Engine {
     };
     std::vector<Rng> rng(p);
     for (int t = 0; t < p; ++t)
-      rng[t].state = hooks.ws_seed * 0x9E3779B97F4A7C15ULL + t + 1;
+      rng[t].state = kVictimSeed * 0x9E3779B97F4A7C15ULL + t + 1;
 
     std::vector<PerThreadStats> per(p);
     trace::Recorder* rec = hooks.recorder;
@@ -135,7 +147,7 @@ class NumaHierarchicalEngine final : public Engine {
     team.run([&](int tid) {
       PerThreadStats& me = per[tid];
       ChaseLevDeque& mine = *deques[tid];
-      const std::vector<VictimGroup>& groups = victim_groups[tid];
+      const VictimGroups& groups = victim_groups[tid];
       auto enqueue = [&](int id) { mine.push_bottom(id); };
       int backoff = 0;
       while (!ctx.done()) {
@@ -145,19 +157,20 @@ class NumaHierarchicalEngine final : public Engine {
         if (mine.pop_bottom(id)) {
           ++me.static_pops;  // owner-local pops (kept under static_pops)
         } else {
-          // One hierarchy walk: nearest group first, rotating the start
-          // inside each group so concurrent thieves spread out.
-          for (const VictimGroup& g : groups) {
-            const int m = static_cast<int>(g.victims.size());
+          // One walk over the victim groups, rotating the start inside
+          // each group so concurrent thieves spread out.
+          for (const std::vector<Victim>& g : groups) {
+            const int m = static_cast<int>(g.size());
             const int start = m > 1
                                   ? static_cast<int>(rng[tid].next() %
                                                      static_cast<unsigned>(m))
                                   : 0;
             for (int k = 0; k < m; ++k) {
+              const Victim& v = g[(start + k) % m];
               ++me.steal_attempts;
-              if (deques[g.victims[(start + k) % m]]->steal_top(id)) {
+              if (deques[v.tid]->steal_top(id)) {
                 stolen = true;
-                stolen_from = g.cls;
+                stolen_from = v.cls;
                 break;
               }
             }
@@ -185,14 +198,16 @@ class NumaHierarchicalEngine final : public Engine {
 
  private:
   std::string name_;
+  bool hierarchical_;
 };
 
 }  // namespace
 
 namespace detail {
 
-std::unique_ptr<Engine> make_numa_engine(std::string name) {
-  return std::make_unique<NumaHierarchicalEngine>(std::move(name));
+std::unique_ptr<Engine> make_chase_lev_engine(std::string name,
+                                              bool hierarchical) {
+  return std::make_unique<ChaseLevEngine>(std::move(name), hierarchical);
 }
 
 }  // namespace detail

@@ -9,15 +9,15 @@
 
 namespace calu::sched {
 
-// Built-in factories, defined in engine_hybrid.cpp / engine_work_stealing.cpp.
+// Built-in factories, defined in engine_{hybrid,numa,priority}.cpp.
 // Declared here (not in a public header) so the registry is the only place
 // that knows the concrete set; everything else goes through names.
 namespace detail {
 std::unique_ptr<Engine> make_hybrid_engine(std::string name,
                                            bool locality_tags);
-std::unique_ptr<Engine> make_work_stealing_engine(std::string name);
+std::unique_ptr<Engine> make_chase_lev_engine(std::string name,
+                                              bool hierarchical);
 std::unique_ptr<Engine> make_priority_engine(std::string name);
-std::unique_ptr<Engine> make_numa_engine(std::string name);
 }  // namespace detail
 
 namespace {
@@ -36,13 +36,15 @@ struct Registry {
                                         /*locality_tags=*/true);
     });
     factories.emplace("work-stealing", [] {
-      return detail::make_work_stealing_engine("work-stealing");
+      return detail::make_chase_lev_engine("work-stealing",
+                                           /*hierarchical=*/false);
     });
     factories.emplace("priority-lookahead", [] {
       return detail::make_priority_engine("priority-lookahead");
     });
     factories.emplace("numa-hierarchical", [] {
-      return detail::make_numa_engine("numa-hierarchical");
+      return detail::make_chase_lev_engine("numa-hierarchical",
+                                           /*hierarchical=*/true);
     });
   }
 };

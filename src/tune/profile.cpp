@@ -230,17 +230,15 @@ LoadStatus parse_profile(const std::string& text, Profile& out) {
 
   double version = 0.0;
   if (!get_num(root, "version", version)) return LoadStatus::Corrupt;
-  const int v = static_cast<int>(version);
-  // A document from a future schema may carry fields whose absence or
-  // reinterpretation here would be silently wrong; regenerate instead.
-  if (v < 1 || v > kProfileVersion) return LoadStatus::Corrupt;
+  // Any other schema — older or from the future — may carry fields whose
+  // absence or reinterpretation here would be silently wrong; regenerate.
+  if (static_cast<int>(version) != kProfileVersion) return LoadStatus::Corrupt;
 
   const Json* entries = root.find("entries");
   if (entries == nullptr || entries->type != Json::Type::Arr)
     return LoadStatus::Corrupt;
 
   Profile p;
-  p.version = kProfileVersion;  // migrated on load, rewritten as current
   get_str(root, "host", p.host);
   for (const Json& e : entries->arr) {
     if (e.type != Json::Type::Obj) return LoadStatus::Corrupt;
@@ -249,12 +247,8 @@ LoadStatus parse_profile(const std::string& text, Profile& out) {
     double dratio = d.dratio, b = d.b, look = d.lookahead_depth;
     double predicted = d.predicted, measured = d.measured;
     if (!get_str(e, "key", key) || !get_num(e, "dratio", dratio) ||
-        !get_num(e, "b", b) || !get_str(e, "engine", d.engine))
-      return LoadStatus::Corrupt;
-    // Version-1 migration: the schema predates the lookahead knob, so old
-    // entries keep the Options default instead of invalidating the whole
-    // profile (their measured dratio/b/engine are still right).
-    if (!get_num(e, "lookahead_depth", look) && v >= 2)
+        !get_num(e, "b", b) || !get_str(e, "engine", d.engine) ||
+        !get_num(e, "lookahead_depth", look))
       return LoadStatus::Corrupt;
     get_num(e, "predicted", predicted);
     get_num(e, "measured", measured);

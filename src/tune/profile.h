@@ -4,8 +4,8 @@
 // (each one factors a real matrix); the profile is what makes them a
 // once-per-machine cost.  A profile maps a serialized tuning Key —
 // (n, threads, kernel variant, topology summary) — to the Decision that
-// calibration picked, under a schema version so old files migrate instead
-// of silently poisoning new binaries.
+// calibration picked, under a schema version so a file of any other
+// version is regenerated instead of silently poisoning new binaries.
 //
 // Storage is an injectable seam (ProfileStore): production uses
 // FileProfileStore at $CALU_TUNE_PROFILE (default
@@ -23,9 +23,9 @@
 //         "lookahead_depth": 4, "measured": 0.0123 }
 //     ]
 //   }
-// Version 1 entries lacked "lookahead_depth"; migration fills the Options
-// default.  Corrupt or truncated documents parse as LoadStatus::Corrupt
-// and the caller regenerates (warn once, never throw).
+// Corrupt or truncated documents, and documents of any other version,
+// parse as LoadStatus::Corrupt and the caller regenerates (warn once,
+// never throw).
 #pragma once
 
 #include <map>
@@ -56,7 +56,7 @@ struct Profile {
 };
 
 enum class LoadStatus {
-  Ok,        ///< parsed (current version, or an older one after migration)
+  Ok,        ///< parsed a current-version document
   Missing,   ///< no document (empty text / store had nothing)
   Corrupt,   ///< unparseable or wrong shape — caller should regenerate
 };
@@ -64,10 +64,9 @@ enum class LoadStatus {
 /// Serializes to the version-2 JSON document (stable key order).
 std::string serialize_profile(const Profile& p);
 
-/// Parses `text` into `out`.  Version-1 documents are migrated in place
-/// (missing lookahead_depth -> default).  Versions newer than this binary
-/// understands are reported Corrupt: regenerating is safer than guessing
-/// at fields written by the future.
+/// Parses `text` into `out`.  Only kProfileVersion documents load; any
+/// other version is reported Corrupt, since regenerating is safer than
+/// guessing at fields another schema wrote.
 LoadStatus parse_profile(const std::string& text, Profile& out);
 
 /// Storage seam.  load() returns false when nothing is stored (distinct

@@ -82,7 +82,7 @@ TEST_P(IncpivTest, SolveResidualSmall) {
   PackedMatrix p =
       PackedMatrix::pack(a, Layout::ColumnMajor, b, Grid::best(threads));
   sched::ThreadTeam team(threads, false);
-  auto f = core::getrf_incpiv(p, team);
+  auto f = core::getrf_incpiv(p, core::Options{}, team);
   Matrix x = Matrix::random(n, 3, 206);
   Matrix rhs(n, 3);
   blas::gemm(blas::Trans::No, blas::Trans::No, n, 3, n, 1.0, a.data(), a.ld(),
@@ -107,7 +107,7 @@ TEST(Incpiv, WorksOnTiledLayouts) {
   for (Layout l : {Layout::BlockCyclic, Layout::TwoLevelBlock}) {
     PackedMatrix p = PackedMatrix::pack(a, l, b, Grid{2, 2});
     sched::ThreadTeam team(4, false);
-    auto f = core::getrf_incpiv(p, team);
+    auto f = core::getrf_incpiv(p, core::Options{}, team);
     Matrix x = Matrix::random(n, 1, 208);
     Matrix rhs(n, 1);
     blas::gemm(blas::Trans::No, blas::Trans::No, n, 1, n, 1.0, a.data(),
@@ -123,7 +123,7 @@ TEST(Incpiv, DiagonallyDominantStaysPivotFree) {
   Matrix a = Matrix::diag_dominant(n, 209);
   PackedMatrix p = PackedMatrix::pack(a, Layout::ColumnMajor, b, Grid{2, 2});
   sched::ThreadTeam team(4, false);
-  auto f = core::getrf_incpiv(p, team);
+  auto f = core::getrf_incpiv(p, core::Options{}, team);
   Matrix x = Matrix::random(n, 1, 210);
   Matrix rhs(n, 1);
   blas::gemm(blas::Trans::No, blas::Trans::No, n, 1, n, 1.0, a.data(), a.ld(),
@@ -138,7 +138,7 @@ TEST(Incpiv, TaskCountMatchesTiledLu) {
   Matrix a = Matrix::random(n, n, 211);
   PackedMatrix p = PackedMatrix::pack(a, Layout::ColumnMajor, b, Grid{1, 1});
   sched::ThreadTeam team(2, false);
-  auto f = core::getrf_incpiv(p, team);
+  auto f = core::getrf_incpiv(p, core::Options{}, team);
   const int nt = 5;
   int expected = nt;                        // GETRF
   expected += nt * (nt - 1);                // GESSM + TSTRF

@@ -4,6 +4,7 @@
 
 #include <string>
 #include <tuple>
+#include <utility>
 
 #include "src/blas/blas.h"
 #include "src/core/calu.h"
@@ -17,7 +18,6 @@ namespace {
 
 using core::Factorization;
 using core::Options;
-using core::Schedule;
 using layout::Layout;
 using layout::Matrix;
 
@@ -38,7 +38,7 @@ double factor_and_residual(int m, int n, const Options& opt,
 // ------------------------------------------------------------ the sweep ---
 
 struct CaluCase {
-  Schedule sched;
+  std::string engine;
   Layout layout;
   int m, n, b, threads;
   double dratio;
@@ -46,7 +46,7 @@ struct CaluCase {
 
 std::string case_name(const ::testing::TestParamInfo<CaluCase>& info) {
   const CaluCase& c = info.param;
-  std::string s = core::schedule_name(c.sched);
+  std::string s = c.engine;
   s += std::string("_") + layout::layout_name(c.layout) + "_m" +
        std::to_string(c.m) + "n" + std::to_string(c.n) + "b" +
        std::to_string(c.b) + "t" + std::to_string(c.threads) + "d" +
@@ -61,7 +61,7 @@ class CaluSweep : public ::testing::TestWithParam<CaluCase> {};
 TEST_P(CaluSweep, ResidualBounded) {
   const CaluCase& c = GetParam();
   Options opt;
-  opt.schedule = c.sched;
+  opt.engine = c.engine;
   opt.layout = c.layout;
   opt.b = c.b;
   opt.threads = c.threads;
@@ -78,9 +78,11 @@ TEST_P(CaluSweep, ResidualBounded) {
 
 std::vector<CaluCase> sweep_cases() {
   std::vector<CaluCase> cases;
-  const std::vector<Schedule> scheds = {Schedule::Static, Schedule::Dynamic,
-                                        Schedule::Hybrid,
-                                        Schedule::WorkStealing};
+  // Static, dynamic and hybrid are dratio 0 / 1 / 0.2 on "hybrid"; the
+  // work-stealing baseline runs the hybrid split's graph.
+  const std::vector<std::pair<std::string, double>> scheds = {
+      {"hybrid", 0.0}, {"hybrid", 1.0}, {"hybrid", 0.2},
+      {"work-stealing", 0.2}};
   const std::vector<Layout> layouts = {Layout::BlockCyclic,
                                        Layout::TwoLevelBlock,
                                        Layout::ColumnMajor};
@@ -90,17 +92,15 @@ std::vector<CaluCase> sweep_cases() {
       {64, 64, 64},                       // single panel
       {37, 37, 10},                       // everything partial
   };
-  for (Schedule s : scheds)
+  for (const auto& [engine, d] : scheds)
     for (Layout l : layouts)
       for (auto [m, n, b] : shapes)
-        cases.push_back({s, l, m, n, b, 4, 0.2});
+        cases.push_back({engine, l, m, n, b, 4, d});
   // Thread-count and dratio variations on one shape.
   for (int t : {1, 2, 3, 8})
-    cases.push_back({Schedule::Hybrid, Layout::BlockCyclic, 128, 128, 16, t,
-                     0.25});
+    cases.push_back({"hybrid", Layout::BlockCyclic, 128, 128, 16, t, 0.25});
   for (double d : {0.0, 0.1, 0.5, 0.75, 1.0})
-    cases.push_back({Schedule::Hybrid, Layout::TwoLevelBlock, 120, 120, 16,
-                     4, d});
+    cases.push_back({"hybrid", Layout::TwoLevelBlock, 120, 120, 16, 4, d});
   return cases;
 }
 
@@ -122,14 +122,13 @@ TEST(CaluDeterminism, SchedulesProduceIdenticalFactors) {
   Factorization fs, fd, fh, fw;
   Matrix ls, ld, lh, lw;
   Options o = base;
-  o.schedule = Schedule::Static;
+  o.dratio = 0.0;
   factor_and_residual(n, n, o, 55, &fs, &ls);
-  o.schedule = Schedule::Dynamic;
+  o.dratio = 1.0;
   factor_and_residual(n, n, o, 55, &fd, &ld);
-  o.schedule = Schedule::Hybrid;
   o.dratio = 0.3;
   factor_and_residual(n, n, o, 55, &fh, &lh);
-  o.schedule = Schedule::WorkStealing;
+  o.engine = "work-stealing";
   factor_and_residual(n, n, o, 55, &fw, &lw);
 
   EXPECT_EQ(fs.ipiv, fd.ipiv);
@@ -146,7 +145,6 @@ TEST(CaluDeterminism, LayoutsProduceIdenticalFactors) {
   base.b = b;
   base.threads = 4;
   base.pin_threads = false;
-  base.schedule = Schedule::Hybrid;
 
   Factorization f1, f2, f3;
   Matrix l1, l2, l3;
@@ -332,13 +330,6 @@ TEST(CaluPlan, ResolvedDratioClampsBothEdges) {
   EXPECT_DOUBLE_EQ(edge.resolved_dratio(), 1.0);
   edge.dratio = 0.0;
   EXPECT_DOUBLE_EQ(edge.resolved_dratio(), 0.0);
-  // Schedule overrides still win over any stored ratio.
-  Options forced;
-  forced.dratio = 1.5;
-  forced.schedule = Schedule::Static;
-  EXPECT_DOUBLE_EQ(forced.resolved_dratio(), 0.0);
-  forced.schedule = Schedule::Dynamic;
-  EXPECT_DOUBLE_EQ(forced.resolved_dratio(), 1.0);
 }
 
 TEST(CaluPlan, OwnersMatchSplit) {

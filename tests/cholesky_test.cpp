@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "src/blas/blas.h"
 #include "src/core/cholesky.h"
@@ -13,7 +16,6 @@ namespace calu {
 namespace {
 
 using core::Options;
-using core::Schedule;
 using layout::Layout;
 using layout::Matrix;
 
@@ -89,11 +91,10 @@ TEST(PotrfKernel, RejectsIndefinite) {
 // --------------------------------------------------- tiled, scheduled ---
 
 struct CholCase {
-  Schedule sched;
+  std::string engine;
   Layout layout;
   int n, b, threads;
   double dratio;
-  bool locality;
 };
 
 class CholSweep : public ::testing::TestWithParam<CholCase> {};
@@ -105,10 +106,9 @@ TEST_P(CholSweep, ResidualBounded) {
   Options opt;
   opt.b = c.b;
   opt.threads = c.threads;
-  opt.schedule = c.sched;
+  opt.engine = c.engine;
   opt.dratio = c.dratio;
   opt.layout = c.layout;
-  opt.locality_tags = c.locality;
   opt.pin_threads = false;
   core::Factorization f = core::potrf(a, opt);
   EXPECT_LT(core::cholesky_residual(a0, a), 100.0);
@@ -117,22 +117,21 @@ TEST_P(CholSweep, ResidualBounded) {
 
 std::vector<CholCase> chol_cases() {
   std::vector<CholCase> cases;
-  for (Schedule s : {Schedule::Static, Schedule::Dynamic, Schedule::Hybrid,
-                     Schedule::WorkStealing})
+  // Static, dynamic, hybrid, and the work-stealing baseline.
+  const std::vector<std::pair<std::string, double>> scheds = {
+      {"hybrid", 0.0}, {"hybrid", 1.0}, {"hybrid", 0.2},
+      {"work-stealing", 0.2}};
+  for (const auto& [engine, d] : scheds)
     for (Layout l : {Layout::BlockCyclic, Layout::TwoLevelBlock,
                      Layout::ColumnMajor})
-      cases.push_back({s, l, 96, 16, 4, 0.2, false});
+      cases.push_back({engine, l, 96, 16, 4, d});
   for (int n : {17, 37, 64, 130})
-    cases.push_back({Schedule::Hybrid, Layout::BlockCyclic, n, 16, 4, 0.25,
-                     false});
+    cases.push_back({"hybrid", Layout::BlockCyclic, n, 16, 4, 0.25});
   for (double d : {0.0, 0.5, 1.0})
-    cases.push_back({Schedule::Hybrid, Layout::TwoLevelBlock, 120, 16, 8, d,
-                     false});
+    cases.push_back({"hybrid", Layout::TwoLevelBlock, 120, 16, 8, d});
   // Locality-tagged dynamic queues.
-  cases.push_back({Schedule::Dynamic, Layout::BlockCyclic, 128, 16, 4, 1.0,
-                   true});
-  cases.push_back({Schedule::Hybrid, Layout::TwoLevelBlock, 128, 16, 8, 0.3,
-                   true});
+  cases.push_back({"locality-tags", Layout::BlockCyclic, 128, 16, 4, 1.0});
+  cases.push_back({"locality-tags", Layout::TwoLevelBlock, 128, 16, 8, 0.3});
   return cases;
 }
 
@@ -149,20 +148,19 @@ TEST(Cholesky, DeterministicAcrossSchedules) {
   Matrix l_static, l_dyn, l_loc;
   {
     Matrix a = a0;
-    o.schedule = Schedule::Static;
+    o.dratio = 0.0;
     core::potrf(a, o);
     l_static = a;
   }
   {
     Matrix a = a0;
-    o.schedule = Schedule::Dynamic;
+    o.dratio = 1.0;
     core::potrf(a, o);
     l_dyn = a;
   }
   {
     Matrix a = a0;
-    o.schedule = Schedule::Dynamic;
-    o.locality_tags = true;
+    o.engine = "locality-tags";
     core::potrf(a, o);
     l_loc = a;
   }
@@ -230,10 +228,10 @@ TEST(LocalityTags, CaluCorrectAndDeterministic) {
   o.b = 16;
   o.threads = 4;
   o.pin_threads = false;
-  o.schedule = Schedule::Dynamic;
+  o.dratio = 1.0;
   Matrix plain = a0, tagged = a0;
   core::Factorization f1 = core::getrf(plain, o);
-  o.locality_tags = true;
+  o.engine = "locality-tags";
   core::Factorization f2 = core::getrf(tagged, o);
   EXPECT_EQ(f1.ipiv, f2.ipiv);
   EXPECT_EQ(test::max_abs_diff(plain, tagged), 0.0);

@@ -12,7 +12,6 @@ namespace calu {
 namespace {
 
 using core::Options;
-using core::Schedule;
 using layout::Layout;
 using layout::Matrix;
 using layout::PackedMatrix;
@@ -116,8 +115,16 @@ TEST_P(FuzzTest, RandomConfigIsCorrect) {
   o.group_factor = pick(1, 4);
   o.dratio = (rng() % 101) / 100.0;
   o.pin_threads = false;
-  o.locality_tags = rng() % 2 == 0;
-  o.schedule = static_cast<core::Schedule>(rng() % 4);
+  // Static / dynamic / hybrid split, or the work-stealing baseline; the
+  // hybrid-family picks may also take the locality-tagged dynamic queues.
+  const bool tags = rng() % 2 == 0;
+  switch (rng() % 4) {
+    case 0: o.dratio = 0.0; break;
+    case 1: o.dratio = 1.0; break;
+    case 2: break;
+    default: o.engine = "work-stealing"; break;
+  }
+  if (tags && o.engine.empty()) o.engine = "locality-tags";
   o.layout = static_cast<Layout>(rng() % 3);
   Matrix a = Matrix::random(m, n, rng());
   Matrix a0 = a;
@@ -127,7 +134,7 @@ TEST_P(FuzzTest, RandomConfigIsCorrect) {
       static_cast<int>(f.ipiv.size()));
   EXPECT_LT(res, 500.0) << "m=" << m << " n=" << n << " b=" << o.b
                         << " t=" << o.threads << " d=" << o.dratio
-                        << " sched=" << static_cast<int>(o.schedule)
+                        << " engine=" << o.resolved_engine()
                         << " lay=" << static_cast<int>(o.layout);
 }
 
@@ -184,7 +191,7 @@ TEST(Integration, FullyStaticHasNoDynamicPops) {
   o.b = 16;
   o.threads = 4;
   o.pin_threads = false;
-  o.schedule = Schedule::Static;
+  o.dratio = 0.0;
   core::Factorization f = core::getrf(a, o);
   EXPECT_EQ(f.stats.engine.dynamic_pops, 0u);
 }
@@ -196,7 +203,7 @@ TEST(Integration, FullyDynamicHasNoStaticPops) {
   o.b = 16;
   o.threads = 4;
   o.pin_threads = false;
-  o.schedule = Schedule::Dynamic;
+  o.dratio = 1.0;
   core::Factorization f = core::getrf(a, o);
   EXPECT_EQ(f.stats.engine.static_pops, 0u);
 }

@@ -532,8 +532,8 @@ TEST_P(ExecutorTest, OwnerQueuesRunsAllOnce) {
   ThreadTeam team(p, false);
   TaskGraph g = random_dag(500, 0.02, 99, p);
   ExecLog log(g.num_tasks());
-  auto st = sched::run_owner_queues(team, g,
-                                    [&](int id, int) { log.mark(id); });
+  auto st = sched::make_engine("hybrid")
+                ->run(team, g, [&](int id, int) { log.mark(id); });
   EXPECT_EQ(log.counter.load(), g.num_tasks());
   EXPECT_EQ(st.static_pops + st.dynamic_pops,
             static_cast<std::uint64_t>(g.num_tasks()));
@@ -545,8 +545,8 @@ TEST_P(ExecutorTest, WorkStealingRunsAllOnce) {
   ThreadTeam team(p, false);
   TaskGraph g = random_dag(500, 0.02, 100, p);
   ExecLog log(g.num_tasks());
-  auto st = sched::run_work_stealing(team, g,
-                                     [&](int id, int) { log.mark(id); });
+  auto st = sched::make_engine("work-stealing")
+                ->run(team, g, [&](int id, int) { log.mark(id); });
   EXPECT_EQ(log.counter.load(), g.num_tasks());
   EXPECT_EQ(st.static_pops + st.steals,
             static_cast<std::uint64_t>(g.num_tasks()));
@@ -567,7 +567,8 @@ TEST_P(ExecutorTest, LongChainCompletes) {
   for (int i = 0; i + 1 < n; ++i) g.add_edge(i, i + 1);
   g.finalize();
   ExecLog log(n);
-  sched::run_owner_queues(team, g, [&](int id, int) { log.mark(id); });
+  sched::make_engine("hybrid")->run(team, g,
+                                    [&](int id, int) { log.mark(id); });
   for (int i = 0; i < n; ++i) EXPECT_EQ(log.order[i].load(), i);
 }
 
@@ -585,7 +586,8 @@ TEST_P(ExecutorTest, WideFanOutFanIn) {
   }
   g.finalize();
   ExecLog log(g.num_tasks());
-  sched::run_owner_queues(team, g, [&](int id, int) { log.mark(id); });
+  sched::make_engine("hybrid")->run(team, g,
+                                    [&](int id, int) { log.mark(id); });
   EXPECT_EQ(log.order[0].load(), 0);
   EXPECT_EQ(log.order[width + 1].load(), width + 1);
 }
@@ -597,7 +599,8 @@ TEST(Executor, StressManyTasksManyThreads) {
   ThreadTeam team(8, false);
   TaskGraph g = random_dag(5000, 0.002, 101, 8);
   std::atomic<int> ran{0};
-  sched::run_owner_queues(team, g, [&](int, int) { ran.fetch_add(1); });
+  sched::make_engine("hybrid")->run(team, g,
+                                    [&](int, int) { ran.fetch_add(1); });
   EXPECT_EQ(ran.load(), 5000);
 }
 
@@ -605,7 +608,8 @@ TEST(Executor, EmptyGraph) {
   ThreadTeam team(4, false);
   TaskGraph g;
   g.finalize();
-  auto st = sched::run_owner_queues(team, g, [&](int, int) { FAIL(); });
+  auto st = sched::make_engine("hybrid")->run(team, g,
+                                              [&](int, int) { FAIL(); });
   EXPECT_EQ(st.static_pops + st.dynamic_pops, 0u);
 }
 
@@ -625,8 +629,8 @@ TEST(Executor, StaticTasksServedByTheirOwner) {
   }
   g.finalize();
   std::vector<std::atomic<int>> ran_by(n);
-  sched::run_owner_queues(team, g,
-                          [&](int id, int tid) { ran_by[id].store(tid); });
+  sched::make_engine("hybrid")
+      ->run(team, g, [&](int id, int tid) { ran_by[id].store(tid); });
   for (int i = 0; i < n; ++i) EXPECT_EQ(ran_by[i].load(), i % p);
 }
 
@@ -637,7 +641,7 @@ TEST(Executor, DynamicTasksCanRunAnywhere) {
   g.finalize();
   std::set<int> tids;
   std::mutex mu;
-  sched::run_owner_queues(team, g, [&](int, int tid) {
+  sched::make_engine("hybrid")->run(team, g, [&](int, int tid) {
     noise::burn(1e-5);
     std::lock_guard lk(mu);
     tids.insert(tid);
@@ -657,8 +661,8 @@ TEST(Executor, GlobalQueueFollowsPriorityOrder) {
   }
   g.finalize();
   std::vector<int> order;
-  sched::run_owner_queues(team, g,
-                          [&](int id, int) { order.push_back(id); });
+  sched::make_engine("hybrid")
+      ->run(team, g, [&](int id, int) { order.push_back(id); });
   for (int i = 0; i + 1 < n; ++i)
     EXPECT_GT(g.task(order[i]).priority, 0u);
   // Reversed priorities => tasks pop in reverse id order.
@@ -666,7 +670,7 @@ TEST(Executor, GlobalQueueFollowsPriorityOrder) {
 }
 
 TEST(Executor, LocalityTagsServeOwnBucketFirst) {
-  // All-dynamic tasks tagged per thread; with locality_tags on and no
+  // All-dynamic tasks tagged per thread; under "locality-tags" and no
   // dependencies, each thread must drain its own tag's bucket (tasks are
   // plentiful, so no thread needs to poach).
   const int p = 4;
@@ -681,8 +685,6 @@ TEST(Executor, LocalityTagsServeOwnBucketFirst) {
   }
   g.finalize();
   std::vector<std::atomic<int>> ran_by(n);
-  sched::RunHooks hooks;
-  hooks.locality_tags = true;
   // Start barrier, repeated every round: a thread may begin its c-th
   // task only once every thread has begun c - 1.  The c = 2 round keeps
   // a thread the host starts late from finding its bucket already
@@ -693,17 +695,15 @@ TEST(Executor, LocalityTagsServeOwnBucketFirst) {
   // them.  The assertion then depends on the pop policy, not on timing.
   std::vector<std::atomic<int>> begun(p);
   const int paced_rounds = n / p - 2;
-  sched::run_owner_queues(
-      team, g,
-      [&](int id, int tid) {
+  sched::make_engine("locality-tags")
+      ->run(team, g, [&](int id, int tid) {
         const int c = begun[tid].fetch_add(1) + 1;
         if (c <= paced_rounds)
           for (int u = 0; u < p; ++u)
             while (begun[u].load() < c - 1) std::this_thread::yield();
         noise::burn(2e-5);  // keep every thread busy long enough
         ran_by[id].store(tid);
-      },
-      hooks);
+      });
   int matches = 0;
   for (int i = 0; i < n; ++i)
     if (ran_by[i].load() == g.task(i).tag) ++matches;
@@ -724,10 +724,8 @@ TEST(Executor, LocalityTagsCompleteWithSkewedTags) {
   }
   g.finalize();
   std::atomic<int> ran{0};
-  sched::RunHooks hooks;
-  hooks.locality_tags = true;
-  sched::run_owner_queues(team, g, [&](int, int) { ran.fetch_add(1); },
-                          hooks);
+  sched::make_engine("locality-tags")
+      ->run(team, g, [&](int, int) { ran.fetch_add(1); });
   EXPECT_EQ(ran.load(), 200);
 }
 
@@ -737,10 +735,8 @@ TEST(Executor, UntaggedTasksStillRunUnderLocalityPolicy) {
   for (int i = 0; i < 100; ++i) g.add_task(Task{});  // tag = -1
   g.finalize();
   std::atomic<int> ran{0};
-  sched::RunHooks hooks;
-  hooks.locality_tags = true;
-  sched::run_owner_queues(team, g, [&](int, int) { ran.fetch_add(1); },
-                          hooks);
+  sched::make_engine("locality-tags")
+      ->run(team, g, [&](int, int) { ran.fetch_add(1); });
   EXPECT_EQ(ran.load(), 100);
 }
 
@@ -1024,7 +1020,8 @@ TEST(SessionFused, AppendedGraphRunsInDependencyOrder) {
   fused.finalize();
   ThreadTeam team(4, false);
   ExecLog log(fused.num_tasks());
-  sched::run_owner_queues(team, fused, [&](int id, int) { log.mark(id); });
+  sched::make_engine("hybrid")->run(team, fused,
+                                    [&](int id, int) { log.mark(id); });
   EXPECT_EQ(log.counter.load(), 8);
   check_topological(fused, log);
 }
@@ -1222,7 +1219,7 @@ TEST(Executor, HooksReceiveNoiseAndTrace) {
   sched::RunHooks hooks;
   hooks.recorder = &rec;
   hooks.injector = &inj;
-  sched::run_owner_queues(team, g, [](int, int) {}, hooks);
+  sched::make_engine("hybrid")->run(team, g, [](int, int) {}, hooks);
   EXPECT_GT(inj.delta_max(), 0.0);
   int events = 0;
   for (int t = 0; t < rec.threads(); ++t)

@@ -233,17 +233,17 @@ TEST(Gesv, WorksAcrossSchedulesAndLayouts) {
   const int n = 96;
   Matrix a = Matrix::random(n, n, 312);
   Matrix b = Matrix::random(n, 1, 313);
-  for (core::Schedule s : {core::Schedule::Static, core::Schedule::Dynamic,
-                           core::Schedule::Hybrid}) {
+  // Static, dynamic, and the default hybrid split.
+  for (double d : {0.0, 1.0, Options{}.dratio}) {
     for (layout::Layout l : {layout::Layout::BlockCyclic,
                              layout::Layout::TwoLevelBlock,
                              layout::Layout::ColumnMajor}) {
       Options o = small_opts();
-      o.schedule = s;
+      o.dratio = d;
       o.layout = l;
       auto res = core::gesv(a, b, o);
       EXPECT_LT(res.residual, 1e-13)
-          << core::schedule_name(s) << "/" << layout::layout_name(l);
+          << "d=" << d << "/" << layout::layout_name(l);
     }
   }
 }

@@ -299,21 +299,25 @@ TEST(NumaEngine, RegisteredAsBuiltIn) {
 TEST(NumaEngine, AccountsEveryTaskAndClassifiesSteals) {
   const sched::TaskGraph g = fork_join_graph(64);
   ThreadTeam team(4, /*pin=*/true);
-  auto engine = sched::make_engine("numa-hierarchical");
-  std::vector<std::atomic<int>> ran(g.num_tasks());
-  const sched::EngineStats st = engine->run(
-      team, g, [&](int id, int) { ran[id].fetch_add(1); }, {});
-  for (int i = 0; i < g.num_tasks(); ++i) EXPECT_EQ(ran[i].load(), 1);
-  // The work-stealing stats contract: every task is a local pop or a
-  // steal, and every steal lands in exactly one distance class.
-  EXPECT_EQ(st.static_pops + st.dynamic_pops + st.steals,
-            static_cast<std::uint64_t>(g.num_tasks()));
-  std::uint64_t classified = 0;
-  for (std::uint64_t n : st.steals_by_class) classified += n;
-  EXPECT_EQ(classified, st.steals);
-  EXPECT_GE(st.steal_attempts, st.steals);
-  EXPECT_EQ(st.promotions, 0u);
-  EXPECT_EQ(st.pinned_threads, team.pinned_count());
+  // Both Chase-Lev registry names share the accounting and classification.
+  for (const char* name : {"work-stealing", "numa-hierarchical"}) {
+    SCOPED_TRACE(name);
+    auto engine = sched::make_engine(name);
+    std::vector<std::atomic<int>> ran(g.num_tasks());
+    const sched::EngineStats st = engine->run(
+        team, g, [&](int id, int) { ran[id].fetch_add(1); }, {});
+    for (int i = 0; i < g.num_tasks(); ++i) EXPECT_EQ(ran[i].load(), 1);
+    // The work-stealing stats contract: every task is a local pop or a
+    // steal, and every steal lands in exactly one distance class.
+    EXPECT_EQ(st.static_pops + st.dynamic_pops + st.steals,
+              static_cast<std::uint64_t>(g.num_tasks()));
+    std::uint64_t classified = 0;
+    for (std::uint64_t n : st.steals_by_class) classified += n;
+    EXPECT_EQ(classified, st.steals);
+    EXPECT_GE(st.steal_attempts, st.steals);
+    EXPECT_EQ(st.promotions, 0u);
+    EXPECT_EQ(st.pinned_threads, team.pinned_count());
+  }
 }
 
 TEST(NumaEngine, RunsRepeatedlyWithoutLeakingState) {

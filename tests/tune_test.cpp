@@ -338,23 +338,18 @@ TEST(TuneProfile, GarbageAndTruncationAreCorrupt) {
             LoadStatus::Corrupt);
 }
 
-TEST(TuneProfile, VersionOneMigratesMissingLookahead) {
+TEST(TuneProfile, VersionOneIsCorrupt) {
+  // Only the current schema loads; an older document reads as Corrupt,
+  // which the tuner's recovery path regenerates.
   const std::string v1 =
       "{ \"version\": 1, \"host\": \"h\", \"entries\": ["
       "  { \"key\": \"n=512;t=4;k=k;topo=t\", \"dratio\": 0.3,"
       "    \"b\": 64, \"engine\": \"hybrid\", \"measured\": 1.5 } ] }";
   Profile p;
-  ASSERT_EQ(tune::parse_profile(v1, p), LoadStatus::Ok);
-  EXPECT_EQ(p.version, tune::kProfileVersion);  // rewritten as current
-  const Decision& d = p.entries.at("n=512;t=4;k=k;topo=t");
-  EXPECT_DOUBLE_EQ(d.dratio, 0.3);
-  EXPECT_EQ(d.b, 64);
-  EXPECT_EQ(d.lookahead_depth, Decision{}.lookahead_depth);  // migrated
+  EXPECT_EQ(tune::parse_profile(v1, p), LoadStatus::Corrupt);
 }
 
 TEST(TuneProfile, CurrentVersionMissingLookaheadIsCorrupt) {
-  // The same omission in a version-2 document is a malformed file, not a
-  // migration case.
   const std::string v2 =
       "{ \"version\": 2, \"host\": \"h\", \"entries\": ["
       "  { \"key\": \"x\", \"dratio\": 0.3, \"b\": 64,"
