@@ -2,13 +2,15 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cassert>
 #include <chrono>
 #include <exception>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <utility>
+
+#include "src/model/lu_cost.h"
 
 namespace calu::core {
 namespace {
@@ -40,7 +42,6 @@ BatchRunResult run_sequential(std::vector<BatchJob>& jobs,
   const auto t0 = std::chrono::steady_clock::now();
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     BatchJob& job = jobs[i];
-    assert(job.a != nullptr);
     BatchJobResult& out = res.jobs[i];
     if (job.rhs != nullptr) {
       // Float32 solve jobs get the full mixed-precision treatment
@@ -70,6 +71,8 @@ BatchRunResult run_sequential(std::vector<BatchJob>& jobs,
 /// Fused mode: prepare every job through the same GetrfJob seam getrf
 /// uses, merge all graphs into one engine run via Session::run_fused,
 /// then run each job's epilogue (left swaps, unpack, solve + refinement).
+/// Small double jobs that job parallelism alone can spread over the team
+/// run whole instead: one task each in the same engine run (see below).
 BatchRunResult run_fused(std::vector<BatchJob>& jobs,
                          sched::Session& session) {
   BatchRunResult res;
@@ -84,11 +87,9 @@ BatchRunResult run_fused(std::vector<BatchJob>& jobs,
   // Tune keys first: each job's Options get their problem-size key
   // stamped from that job's own matrix, so the engine agreement below
   // compares tuned resolutions rather than the unkeyed defaults.
-  for (BatchJob& job : jobs) {
-    assert(job.a != nullptr);
+  for (BatchJob& job : jobs)
     job.options = with_tune_key(with_session_threads(job.options, session),
                                 job.a->rows(), job.a->cols());
-  }
 
   // One engine executes the fused graph: a job set that names two engines
   // has no faithful fused schedule, and silently picking one would betray
@@ -112,43 +113,62 @@ BatchRunResult run_fused(std::vector<BatchJob>& jobs,
     }
   }
 
-  // Prepare: per-job pack + plan with that job's own Options.  Every job
-  // packs straight from its A (rhs jobs never write it: their factors go
-  // to a separate LU workspace at unpack time, gesv-style).  Reserve up
-  // front — GetrfJob keeps a reference to its PackedMatrix element.
+  // Job grain.  A double job below the team_share() floor keeps its
+  // whole epilogue on one thread.  When its flops are also at most the
+  // batch's share per thread, job parallelism alone fills the team, and
+  // the job runs whole: pack, CALU DAG and epilogue on the one team
+  // thread that dequeues it (static within the job, dynamic across jobs
+  // — one dequeue per job).  A job above that share would leave threads
+  // idle, so it keeps the tile-level DAG and spreads over the team.
   const std::size_t n = jobs.size();
   const int p = session.threads();
-  std::vector<layout::PackedMatrix> packed;
-  packed.reserve(n);
-  std::vector<GetrfJob> prepared;
-  prepared.reserve(n);
+  std::vector<double> flops(n);
+  double total_flops = 0.0;
   for (std::size_t i = 0; i < n; ++i) {
-    BatchJob& job = jobs[i];
-    assert(job.rhs == nullptr || (job.a->rows() == job.a->cols() &&
-                                  job.a->rows() == job.rhs->rows()));
-    Options& o = job.options;
+    flops[i] = model::lu_flops(jobs[i].a->rows(), jobs[i].a->cols());
+    total_flops += flops[i];
+  }
+  std::vector<char> one_thread(n), whole(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::size_t bytes = sizeof(double) *
+                              static_cast<std::size_t>(jobs[i].a->rows()) *
+                              static_cast<std::size_t>(jobs[i].a->cols());
+    one_thread[i] = jobs[i].options.precision == Precision::Double &&
+                    team_share(bytes, p) <= 1;
+    whole[i] = one_thread[i] && flops[i] <= total_flops / p;
+  }
+
+  // Prepare the tile-level jobs: per-job pack + plan with that job's own
+  // Options.  Every job packs straight from its A (rhs jobs never write
+  // it: their factors go to a separate LU workspace at unpack time,
+  // gesv-style).  Whole jobs pack and plan in their own task; here they
+  // only get Options with grid and dratio resolved on the caller, since
+  // a tuner lookup, or the pinned worker's one-cpu mask, must not decide
+  // them inside the engine.  GetrfJob keeps a reference to its
+  // PackedMatrix element, so both vectors are sized up front.
+  std::vector<layout::PackedMatrix> packed(n);
+  std::vector<std::optional<GetrfJob>> prepared(n);
+  std::vector<Options> whole_opt(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    Options& o = jobs[i].options;
     o.b = o.resolved_b();  // the fused path owns the packing, like getrf
+    const layout::Grid grid = o.resolved_grid();
+    if (whole[i]) {
+      Options& w = whole_opt[i];
+      w = o;
+      w.pr = grid.pr;
+      w.pc = grid.pc;
+      w.dratio = o.resolved_dratio();
+      w.tune = TuneMode::Off;
+      continue;
+    }
     // Placed for the owner rotation run_fused applies to this job.
-    packed.push_back(layout::PackedMatrix::pack(
-        *job.a, o.layout, o.b, o.resolved_grid(),
+    packed[i] = layout::PackedMatrix::pack(
+        *jobs[i].a, o.layout, o.b, grid,
         owner_runner_from(o, session.team(),
-                          sched::fused_owner_shift(static_cast<int>(i), p))));
-    prepared.emplace_back(packed.back(), o);
+                          sched::fused_owner_shift(static_cast<int>(i), p)));
+    prepared[i].emplace(packed[i], o);
   }
-
-  std::vector<sched::FusedJob> fused(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    fused[i].graph = &prepared[i].graph();
-    fused[i].exec = [&prepared, i](int id, int tid) {
-      prepared[i].exec(id, tid);
-    };
-    fused[i].on_complete = jobs[i].on_complete;
-  }
-
-  std::unique_ptr<noise::Injector> injector;
-  sched::RunHooks hooks =
-      run_hooks_from(jobs[0].options, session.threads(), injector);
-  sched::FusedRunResult fr = session.run_fused(fused, hooks, engine);
 
   // Epilogue, per job: deferred left swaps, unpack, and for rhs jobs the
   // same solve_factored() refinement gesv runs — bit-identity with the
@@ -159,12 +179,7 @@ BatchRunResult run_fused(std::vector<BatchJob>& jobs,
     BatchJob& job = jobs[i];
     BatchJobResult& out = res.jobs[i];
     out.factorization =
-        team != nullptr ? prepared[i].finish(*team) : prepared[i].finish();
-    out.factorization.stats.engine.static_pops = fr.jobs[i].static_pops;
-    out.factorization.stats.engine.dynamic_pops = fr.jobs[i].dynamic_pops;
-    out.factorization.stats.engine.elapsed = fr.jobs[i].completed_at;
-    out.factorization.stats.factor_seconds = fr.jobs[i].completed_at;
-    out.completed_at = fr.jobs[i].completed_at;
+        team != nullptr ? prepared[i]->finish(*team) : prepared[i]->finish();
     // Without a team the job is below the team_share() floor, where
     // unpack_factors stays on the calling thread whatever team it gets.
     sched::ThreadTeam& unpack_team = session.team();
@@ -193,31 +208,91 @@ BatchRunResult run_fused(std::vector<BatchJob>& jobs,
     }
   };
 
-  // Job-parallel epilogue: every double-precision job below the
-  // team_share() floor runs its whole epilogue on one team thread, jobs
-  // handed out largest first through one counter (the dynamic remainder
-  // that absorbs uneven job sizes).  Float32 jobs may fall back to a
-  // double re-solve on the session, and jobs above the floor spread their
-  // own epilogue over the team, so both stay on the caller.  Each step
-  // writes the same bits with or without a team, so the split never
-  // shows in the results.
-  std::vector<std::size_t> job_parallel, on_caller;
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t bytes = sizeof(double) *
-                              static_cast<std::size_t>(jobs[i].a->rows()) *
-                              static_cast<std::size_t>(jobs[i].a->cols());
-    const bool one_thread = jobs[i].options.precision == Precision::Double &&
-                            team_share(bytes, p) <= 1;
-    (one_thread ? job_parallel : on_caller).push_back(i);
-  }
-  std::stable_sort(job_parallel.begin(), job_parallel.end(),
-                   [&jobs](std::size_t x, std::size_t y) {
-                     return jobs[x].a->rows() * jobs[x].a->cols() >
-                            jobs[y].a->rows() * jobs[y].a->cols();
+  // A whole job, start to finish on team thread `tid`: a serial pack
+  // (first touch lands on this thread), the plan, every CALU task in id
+  // order — CALU's ids are a topological order of its DAG — and the
+  // epilogue.  The tasks run the same bodies on the same operands as in
+  // any other schedule, so the bits do not change.
+  const auto run_whole = [&](std::size_t i, int tid) {
+    const Options& o = whole_opt[i];
+    packed[i] = layout::PackedMatrix::pack(*jobs[i].a, o.layout, o.b,
+                                           o.resolved_grid());
+    GetrfJob& job = prepared[i].emplace(packed[i], o);
+    const sched::TaskGraph& dag = job.graph();
+    if (!dag.id_ordered())
+      throw std::logic_error("batched_run: CALU task ids are not a "
+                             "topological order; whole-job run impossible");
+    for (int id = 0; id < dag.num_tasks(); ++id) job.exec(id, tid);
+    epilogue(i, nullptr);
+    // The result is out; free the job's plan and tiles here, so this
+    // thread's next job reuses memory that is still in its cache.
+    prepared[i].reset();
+    packed[i] = layout::PackedMatrix();
+  };
+
+  // Whole jobs are one-task graphs: dynamic, never promoted, and ranked
+  // largest first so the long jobs start early and the short ones fill
+  // the tail.
+  std::vector<std::size_t> by_size;
+  for (std::size_t i = 0; i < n; ++i)
+    if (whole[i]) by_size.push_back(i);
+  std::stable_sort(by_size.begin(), by_size.end(),
+                   [&flops](std::size_t x, std::size_t y) {
+                     return flops[x] > flops[y];
                    });
+  std::vector<sched::TaskGraph> whole_graph(n);
+  for (std::size_t rank = 0; rank < by_size.size(); ++rank) {
+    sched::Task t;
+    t.priority = rank;
+    t.promotable = false;
+    whole_graph[by_size[rank]].add_task(t);
+    whole_graph[by_size[rank]].finalize();
+  }
+
   // A throwing job is recorded and rethrown on the caller once the
   // team is back; the other jobs still finish.
   std::vector<std::exception_ptr> errors(n);
+  std::vector<sched::FusedJob> fused(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    if (whole[i]) {
+      fused[i].graph = &whole_graph[i];
+      fused[i].exec = [&run_whole, &errors, i](int, int tid) {
+        try {
+          run_whole(i, tid);
+        } catch (...) {
+          errors[i] = std::current_exception();
+        }
+      };
+    } else {
+      fused[i].graph = &prepared[i]->graph();
+      fused[i].exec = [&prepared, i](int id, int tid) {
+        prepared[i]->exec(id, tid);
+      };
+    }
+    fused[i].on_complete = jobs[i].on_complete;
+  }
+
+  std::unique_ptr<noise::Injector> injector;
+  sched::RunHooks hooks =
+      run_hooks_from(jobs[0].options, session.threads(), injector);
+  sched::FusedRunResult fr = session.run_fused(fused, hooks, engine);
+
+  // Job-parallel epilogue for the tile-level jobs below the floor: each
+  // runs its whole epilogue on one team thread, jobs handed out largest
+  // first through one counter (the dynamic remainder that absorbs uneven
+  // job sizes).  Float32 jobs may fall back to a double re-solve on the
+  // session, and jobs above the floor spread their own epilogue over the
+  // team, so both stay on the caller.  Each step writes the same bits
+  // with or without a team, so the split never shows in the results.
+  std::vector<std::size_t> job_parallel, on_caller;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (whole[i]) continue;
+    (one_thread[i] ? job_parallel : on_caller).push_back(i);
+  }
+  std::stable_sort(job_parallel.begin(), job_parallel.end(),
+                   [&flops](std::size_t x, std::size_t y) {
+                     return flops[x] > flops[y];
+                   });
   if (!job_parallel.empty()) {
     std::atomic<std::size_t> next{0};
     session.team().run([&](int) {
@@ -236,21 +311,71 @@ BatchRunResult run_fused(std::vector<BatchJob>& jobs,
   for (const std::exception_ptr& e : errors)
     if (e) std::rethrow_exception(e);
 
+  // Attribution split out of the fused run: a whole job is one pop, and
+  // its completion stamp covers its epilogue too.  A Float32 fallback
+  // keeps the stats of the double re-solve that produced its factors.
+  for (std::size_t i = 0; i < n; ++i) {
+    BatchJobResult& out = res.jobs[i];
+    out.completed_at = fr.jobs[i].completed_at;
+    out.whole_job = whole[i] != 0;
+    if (out.used_fallback) continue;
+    Stats& st = out.factorization.stats;
+    st.engine.static_pops = fr.jobs[i].static_pops;
+    st.engine.dynamic_pops = fr.jobs[i].dynamic_pops;
+    st.engine.elapsed = fr.jobs[i].completed_at;
+    st.factor_seconds = fr.jobs[i].completed_at;
+  }
+
   res.completion_order = std::move(fr.completion_order);
   res.stats.engine = fr.engine;
   finish_stats(res.stats, session, runs_before, t0, n);
   return res;
 }
 
+/// Rejects the whole batch, naming the first invalid job, before any
+/// job runs: a bad shape would otherwise read and write out of bounds on
+/// worker threads, where no assert of a Release build catches it.
+void validate_all(const std::vector<BatchJob>& jobs) {
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    const JobError e = validate(jobs[i]);
+    if (e != JobError::None)
+      throw std::invalid_argument("batched_run: job " + std::to_string(i) +
+                                  ": " + job_error_message(e));
+  }
+}
+
 }  // namespace
+
+const char* job_error_message(JobError e) {
+  switch (e) {
+    case JobError::None: return "valid";
+    case JobError::NullMatrix: return "A is null";
+    case JobError::RhsNotSquare: return "A has an rhs but is not square";
+    case JobError::RhsRows: return "rhs row count differs from A's";
+    case JobError::TileSize: return "tile size b is below 1";
+  }
+  return "?";
+}
+
+JobError validate(const BatchJob& job) {
+  if (job.a == nullptr) return JobError::NullMatrix;
+  if (job.rhs != nullptr) {
+    if (job.a->rows() != job.a->cols()) return JobError::RhsNotSquare;
+    if (job.rhs->rows() != job.a->rows()) return JobError::RhsRows;
+  }
+  if (job.options.b < 1) return JobError::TileSize;
+  return JobError::None;
+}
 
 BatchRunResult batched_run(std::vector<BatchJob>& jobs,
                            sched::Session& session, BatchMode mode) {
+  validate_all(jobs);
   return mode == BatchMode::Fused ? run_fused(jobs, session)
                                   : run_sequential(jobs, session);
 }
 
 BatchRunResult batched_run(std::vector<BatchJob>& jobs, BatchMode mode) {
+  validate_all(jobs);  // before the ephemeral session spawns its team
   sched::Session ephemeral(session_options_from(
       jobs.empty() ? Options{} : jobs.front().options));
   return batched_run(jobs, ephemeral, mode);

@@ -20,8 +20,17 @@
 // including under the TSan stress lane.  bench/batch_throughput.cpp
 // measures both modes (BENCH_batch.json, with open-loop latency
 // percentiles).
+//
+// The fused run picks the grain per job.  A small double job that the
+// batch's job parallelism alone can spread over the team runs *whole*:
+// one task of the fused run packs it, runs its CALU DAG in task-id order
+// and its epilogue, all on the team thread that dequeued it, with jobs
+// handed out dynamically, largest first.  Every other job keeps its
+// tile-level DAG in the same engine run.  The grain changes the order of
+// the task bodies, never their operands, so the bits do not change.
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <vector>
 
@@ -51,10 +60,12 @@ namespace calu::core {
 ///
 /// `on_complete(job_index)` fires when the job's last DAG task retires.
 /// In fused mode that happens on a worker thread while other jobs may
-/// still be executing — treat it as a scheduling-progress signal (the
-/// solve/unpack epilogue runs afterwards; full results are available when
-/// batched_run returns).  Sequential mode fires it on the caller thread
-/// after the job's DAG run.
+/// still be executing — treat it as a scheduling-progress signal.  For a
+/// tile-level job the solve/unpack epilogue runs afterwards; for a job
+/// that ran whole (BatchJobResult::whole_job) its one task includes the
+/// epilogue, so its result is ready when the callback fires.  Full
+/// results are available to the caller when batched_run returns.
+/// Sequential mode fires it on the caller thread after the job's DAG run.
 struct BatchJob {
   layout::Matrix* a = nullptr;
   const layout::Matrix* rhs = nullptr;
@@ -91,9 +102,10 @@ struct BatchStats {
 struct BatchJobResult {
   /// Pivots + stats.  In fused mode the per-job engine counters carry the
   /// attribution split out of the fused run (this job's static/dynamic
-  /// pops; elapsed and factor_seconds hold the job's completion latency
-  /// within the run), and gflops is left 0 — exclusive per-job compute
-  /// time does not exist inside a fused run.
+  /// pops — exactly one for a job that ran whole; elapsed and
+  /// factor_seconds hold the job's completion latency within the run),
+  /// and gflops is left 0 — exclusive per-job compute time does not
+  /// exist inside a fused run.
   Factorization factorization;
   layout::Matrix x;           ///< solution, for jobs submitted with an rhs
   int refine_steps = 0;       ///< refinement steps taken (rhs jobs)
@@ -101,9 +113,13 @@ struct BatchJobResult {
   /// Float32 rhs jobs only: the float factorization was rejected and the
   /// result comes from the gesv_mixed full-double fallback.
   bool used_fallback = false;
-  /// Seconds from batch start to this job's completion (open-loop
-  /// latency: DAG retirement in fused mode, job return in sequential).
+  /// Seconds to this job's completion (open-loop latency): in fused mode
+  /// from the engine run's start to the DAG's retirement — for a job that
+  /// ran whole, the moment its result is ready — and in sequential mode
+  /// from batch start to the job's return.
   double completed_at = 0.0;
+  /// Fused mode: the job ran whole, as one task on one team thread.
+  bool whole_job = false;
 };
 
 struct BatchRunResult {
@@ -112,11 +128,29 @@ struct BatchRunResult {
   BatchStats stats;
 };
 
+/// Why validate() rejects a job.
+enum class JobError : std::uint8_t {
+  None,          ///< valid
+  NullMatrix,    ///< `a` is null
+  RhsNotSquare,  ///< an rhs job whose A is not square
+  RhsRows,       ///< rhs row count differs from A's
+  TileSize,      ///< options.b < 1
+};
+
+const char* job_error_message(JobError e);
+
+/// The input check batched_run (both modes) and sched::Service::submit
+/// run on every job, in Release builds too: a mismatched shape would
+/// otherwise read and write out of bounds.
+JobError validate(const BatchJob& job);
+
 /// Runs a batch of factor / factor+solve jobs through one session.
-/// Matrices (and rhs) must outlive the call.  Fused mode rejects job sets
-/// that disagree on the engine with std::invalid_argument; observability
-/// hooks (recorder, noise, lookahead_depth) for the fused run
-/// are taken from the first job's Options.
+/// Matrices (and rhs) must outlive the call.  Before any job runs, a job
+/// validate() rejects makes the call throw std::invalid_argument naming
+/// it.  Fused mode rejects job sets that disagree on the engine with
+/// std::invalid_argument; observability hooks (recorder, noise,
+/// lookahead_depth) for the fused run are taken from the first job's
+/// Options.
 BatchRunResult batched_run(std::vector<BatchJob>& jobs,
                            sched::Session& session,
                            BatchMode mode = BatchMode::Fused);

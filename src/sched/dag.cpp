@@ -12,6 +12,7 @@ void TaskGraph::finalize() {
   for (const auto& [from, to] : edges_) {
     assert(from >= 0 && from < n && to >= 0 && to < n && from != to);
     ++offset_[from + 1];
+    id_ordered_ = id_ordered_ && from < to;
   }
   for (int i = 0; i < n; ++i) offset_[i + 1] += offset_[i];
   succ_.resize(edges_.size());

@@ -90,12 +90,17 @@ class TaskGraph {
 
   bool finalized() const { return !offset_.empty(); }
 
+  /// Every edge runs from a lower id to a higher one, so executing the
+  /// tasks in id order respects every dependency.  Set by finalize().
+  bool id_ordered() const { return id_ordered_; }
+
  private:
   std::vector<Task> tasks_;
   std::vector<int> ndeps_;
   std::vector<std::pair<int, int>> edges_;
   std::vector<int> offset_;  // CSR: size num_tasks+1
   std::vector<int> succ_;
+  bool id_ordered_ = true;
 };
 
 }  // namespace calu::sched

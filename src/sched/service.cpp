@@ -1,6 +1,7 @@
 #include "src/sched/service.h"
 
 #include <algorithm>
+#include <exception>
 #include <utility>
 
 #include "src/sched/parking.h"
@@ -20,6 +21,7 @@ const char* submit_status_name(SubmitStatus s) {
     case SubmitStatus::Accepted: return "accepted";
     case SubmitStatus::Rejected: return "rejected";
     case SubmitStatus::ShuttingDown: return "shutting-down";
+    case SubmitStatus::Invalid: return "invalid";
   }
   return "?";
 }
@@ -31,7 +33,9 @@ Service::Service(const ServiceOptions& opt) : opt_(opt) {
     queued_[c].store(0, std::memory_order_relaxed);
     accepted_[c].store(0, std::memory_order_relaxed);
     rejected_[c].store(0, std::memory_order_relaxed);
+    invalid_[c].store(0, std::memory_order_relaxed);
     completed_[c].store(0, std::memory_order_relaxed);
+    failed_[c].store(0, std::memory_order_relaxed);
   }
   // The Session (and with it the ThreadTeam) is constructed inside the
   // dispatcher thread, which therefore becomes the team's thread 0: the
@@ -47,7 +51,9 @@ ServiceCounters Service::counters(core::PriorityClass c) const {
   ServiceCounters out;
   out.accepted = accepted_[i].load(std::memory_order_relaxed);
   out.rejected = rejected_[i].load(std::memory_order_relaxed);
+  out.invalid = invalid_[i].load(std::memory_order_relaxed);
   out.completed = completed_[i].load(std::memory_order_relaxed);
+  out.failed = failed_[i].load(std::memory_order_relaxed);
   return out;
 }
 
@@ -63,6 +69,14 @@ void Service::notify_dispatcher() {
 
 Submission Service::submit(ServiceRequest req) {
   Submission out;
+  const int cls = class_index(req.options.priority_class);
+  // Checked before admission: a bad shape must never reach a worker.
+  if (core::validate(core::BatchJob{req.a, req.rhs, req.options, {}}) !=
+      core::JobError::None) {
+    invalid_[cls].fetch_add(1, std::memory_order_relaxed);
+    out.status = SubmitStatus::Invalid;
+    return out;
+  }
   submitters_.fetch_add(1, std::memory_order_seq_cst);
   // Everything below must reach the return through the matching
   // fetch_sub; the admission window is what lets the shutdown drain wait
@@ -73,7 +87,6 @@ Submission Service::submit(ServiceRequest req) {
     return out;
   }
 
-  const int cls = class_index(req.options.priority_class);
   // Exact admission bound on the per-class depth counter (the ring is
   // rounded up to a power of two and can never be the binding limit).
   for (;;) {
@@ -133,13 +146,27 @@ void Service::run_batch(std::vector<std::unique_ptr<Pending>>& batch) {
     jobs[i].options = batch[i]->req.options;
     jobs[i].options.engine = opt_.engine;
   }
-  core::BatchRunResult run =
-      core::batched_run(jobs, *session_, core::BatchMode::Fused);
+  core::BatchRunResult run;
+  std::exception_ptr error;
+  try {
+    run = core::batched_run(jobs, *session_, core::BatchMode::Fused);
+  } catch (...) {
+    // The whole fused run is lost, but not the service: every request
+    // in it fails through its future, and the dispatcher keeps serving.
+    error = std::current_exception();
+  }
   fused_runs_.fetch_add(1, std::memory_order_relaxed);
 
   const auto now = std::chrono::steady_clock::now();
   for (std::size_t i = 0; i < batch.size(); ++i) {
     Pending& p = *batch[i];
+    const int cls = class_index(p.req.options.priority_class);
+    if (error) {
+      p.promise.set_exception(error);
+      failed_[cls].fetch_add(1, std::memory_order_relaxed);
+      completed_[cls].fetch_add(1, std::memory_order_relaxed);
+      continue;
+    }
     ServiceResponse resp;
     resp.result = std::move(run.jobs[i]);
     resp.priority_class = p.req.options.priority_class;
@@ -149,8 +176,7 @@ void Service::run_batch(std::vector<std::unique_ptr<Pending>>& batch) {
     // future-waiter observing completion implies the callback already ran.
     if (p.req.on_complete) p.req.on_complete(resp);
     p.promise.set_value(std::move(resp));
-    completed_[class_index(p.req.options.priority_class)].fetch_add(
-        1, std::memory_order_relaxed);
+    completed_[cls].fetch_add(1, std::memory_order_relaxed);
   }
   batch.clear();
   {

@@ -103,6 +103,7 @@ enum class SubmitStatus : std::uint8_t {
   Accepted,      ///< queued; the future will be fulfilled
   Rejected,      ///< class queue full under the Reject policy
   ShuttingDown,  ///< stop() already called
+  Invalid,       ///< core::validate() rejected the request; never queued
 };
 
 const char* submit_status_name(SubmitStatus s);
@@ -117,7 +118,9 @@ struct Submission {
 struct ServiceCounters {
   std::uint64_t accepted = 0;
   std::uint64_t rejected = 0;
-  std::uint64_t completed = 0;
+  std::uint64_t invalid = 0;    ///< refused by core::validate() at submit
+  std::uint64_t completed = 0;  ///< accepted requests answered or failed
+  std::uint64_t failed = 0;     ///< of completed: future holds an exception
 };
 
 class Service {
@@ -130,9 +133,13 @@ class Service {
   Service& operator=(const Service&) = delete;
 
   /// Enqueues a request (thread-safe, lock-free on the accepted path).
-  /// On Accepted the returned future delivers the ServiceResponse; the
-  /// request's on_complete (if any) fires first, on the dispatcher
-  /// thread.  Rejected/ShuttingDown requests fire neither.
+  /// A request core::validate() rejects returns Invalid and is never
+  /// queued.  On Accepted the returned future delivers the
+  /// ServiceResponse; the request's on_complete (if any) fires first, on
+  /// the dispatcher thread.  If the fused run holding the request throws,
+  /// the future rethrows that exception instead, on_complete does not
+  /// fire, and the service keeps serving.  Rejected/ShuttingDown/Invalid
+  /// requests fire neither.
   Submission submit(ServiceRequest req);
 
   /// Blocks until every request accepted so far has completed.
@@ -177,7 +184,9 @@ class Service {
   std::atomic<std::size_t> queued_[kClasses];
   std::atomic<std::uint64_t> accepted_[kClasses];
   std::atomic<std::uint64_t> rejected_[kClasses];
+  std::atomic<std::uint64_t> invalid_[kClasses];
   std::atomic<std::uint64_t> completed_[kClasses];
+  std::atomic<std::uint64_t> failed_[kClasses];
   std::atomic<std::uint64_t> fused_runs_{0};
 
   /// Submission eventcount: producers bump `signal_` (the futex word)

@@ -19,6 +19,7 @@
 
 #include "src/core/batch.h"
 #include "src/core/calu.h"
+#include "src/core/calu_dag.h"
 #include "src/core/cholesky.h"
 #include "src/core/incpiv.h"
 #include "src/core/solve.h"
@@ -319,11 +320,14 @@ TEST(BatchedRun, FusedBitIdenticalToSequentialAcrossEnginesAndPackModes) {
         EXPECT_EQ(fus.jobs[i].factorization.ipiv,
                   seq.jobs[i].factorization.ipiv);
         EXPECT_EQ(test::max_abs_diff(fus_ms[i], seq_ms[i]), 0.0);
-        // Per-job attribution split out of the fused run covers every task.
+        // Per-job attribution split out of the fused run covers every task
+        // of a tile-level job, and is the one task of a whole job.
         const auto& eng = fus.jobs[i].factorization.stats.engine;
         EXPECT_EQ(eng.static_pops + eng.dynamic_pops,
-                  static_cast<std::uint64_t>(
-                      fus.jobs[i].factorization.stats.tasks));
+                  fus.jobs[i].whole_job
+                      ? 1u
+                      : static_cast<std::uint64_t>(
+                            fus.jobs[i].factorization.stats.tasks));
       }
     }
 }
@@ -489,9 +493,10 @@ TEST(BatchedRun, FusedRunCarriesMixedPrecisionJobs) {
   EXPECT_EQ(fus.jobs[2].factorization.ipiv, seq.jobs[2].factorization.ipiv);
 }
 
-// One fused call that takes all three epilogue paths: double jobs below
-// the team_share() floor (rhs and factor-only) run whole on one team
-// thread each, the Float32 job and the job above the floor run from the
+// One fused call that mixes the job grains: the double jobs below the
+// team_share() floor (rhs and factor-only) run whole, pack, DAG and
+// epilogue on one team thread each; the Float32 job and the job above
+// the floor keep the tile-level DAG and run their epilogue from the
 // caller.  Every job must reproduce its Sequential result bit for bit.
 TEST(BatchedRun, FusedEpiloguePathsMatchSequentialBitForBit) {
   std::vector<Matrix> as;
@@ -634,6 +639,281 @@ TEST(BatchedRun, FusedRejectsMixedEnginesSequentialAcceptsThem) {
       core::batched_run(jobs, session, core::BatchMode::Sequential);
   EXPECT_EQ(res.jobs[1].factorization.ipiv, f0.ipiv);
   EXPECT_EQ(test::max_abs_diff(ms[1], ref[1]), 0.0);
+}
+
+// ---------------------------------------------------------- whole jobs ---
+
+/// A mixed batch of 2 x 4 small jobs (rhs and factor-only, one of them
+/// non-square) plus one larger rhs job that stays tile-level: its flops
+/// exceed the batch's share per thread on every team of 2 or more.
+struct WholeBatch {
+  std::vector<Matrix> as, bs;
+  std::size_t nrhs = 0;  // as[0, nrhs) carry bs[i]; the rest factor only
+
+  explicit WholeBatch(std::uint64_t seed) {
+    for (int n : {96, 64, 48, 80, 72}) {
+      as.push_back(Matrix::random(n, n, seed++));
+      bs.push_back(Matrix::random(n, 2, seed++));
+    }
+    as.push_back(Matrix::random(240, 240, seed++));
+    bs.push_back(Matrix::random(240, 1, seed++));
+    nrhs = as.size();
+    as.push_back(Matrix::random(88, 88, seed++));
+    as.push_back(Matrix::random(56, 56, seed++));
+    as.push_back(Matrix::random(100, 60, seed++));  // non-square factor job
+  }
+
+  std::vector<core::BatchJob> jobs(std::vector<Matrix>& ms,
+                                   const Options& opt) const {
+    std::vector<core::BatchJob> out(ms.size());
+    for (std::size_t i = 0; i < ms.size(); ++i) {
+      out[i].a = &ms[i];
+      if (i < nrhs) out[i].rhs = &bs[i];
+      out[i].options = opt;
+    }
+    return out;
+  }
+};
+
+// The tentpole matrix for whole-job tasks: every engine x pack mode x
+// team size 1-4 reproduces Sequential bit for bit, a whole job is one
+// pop, and the batch is still one engine run.
+TEST(BatchedRun, WholeJobsMatchSequentialAcrossEnginesPacksAndTeams) {
+  const WholeBatch wb(2501);
+  const std::size_t big = 5;  // the 240 x 240 job
+  for (const std::string& engine : sched::engine_names())
+    for (bool pack : {true, false}) {
+      const Options opt = batch_options(engine, pack);
+      std::vector<Matrix> seq_ms = wb.as;
+      std::vector<core::BatchJob> seq_jobs = wb.jobs(seq_ms, opt);
+      sched::Session seq_session(sched::SessionOptions{4, false});
+      core::BatchRunResult seq = core::batched_run(
+          seq_jobs, seq_session, core::BatchMode::Sequential);
+      for (int team = 1; team <= 4; ++team) {
+        SCOPED_TRACE(engine + " pack=" + std::to_string(pack) +
+                     " team=" + std::to_string(team));
+        std::vector<Matrix> ms = wb.as;
+        std::vector<core::BatchJob> jobs = wb.jobs(ms, opt);
+        ASSERT_GE(jobs.size(), 2u * team);
+        sched::Session session(sched::SessionOptions{team, false});
+        core::BatchRunResult fus =
+            core::batched_run(jobs, session, core::BatchMode::Fused);
+        EXPECT_EQ(fus.stats.dag_runs, 1u);
+        int whole = 0;
+        for (std::size_t i = 0; i < ms.size(); ++i) {
+          SCOPED_TRACE("job " + std::to_string(i));
+          const core::BatchJobResult& r = fus.jobs[i];
+          EXPECT_EQ(r.factorization.ipiv, seq.jobs[i].factorization.ipiv);
+          EXPECT_TRUE(test::same_bits(ms[i], seq_ms[i]));
+          if (i < wb.nrhs) {
+            EXPECT_TRUE(test::same_bits(r.x, seq.jobs[i].x));
+            EXPECT_TRUE(test::same_bits(r.residual, seq.jobs[i].residual));
+            EXPECT_EQ(r.refine_steps, seq.jobs[i].refine_steps);
+          }
+          const auto& eng = r.factorization.stats.engine;
+          EXPECT_EQ(eng.static_pops + eng.dynamic_pops,
+                    r.whole_job ? 1u
+                                : static_cast<std::uint64_t>(
+                                      r.factorization.stats.tasks));
+          EXPECT_EQ(r.factorization.stats.tasks,
+                    seq.jobs[i].factorization.stats.tasks);
+          whole += r.whole_job ? 1 : 0;
+        }
+        // Every small job runs whole; the big one only on a lone thread.
+        EXPECT_EQ(fus.jobs[big].whole_job, team == 1);
+        EXPECT_EQ(whole, static_cast<int>(ms.size()) - (team == 1 ? 0 : 1));
+      }
+    }
+}
+
+// The rule's edges stay tile-level, every task popped on its own, and
+// still match Sequential bit for bit: a lone job (it cannot share the
+// team with other jobs), two equal rhs jobs (each above the per-thread
+// share; their epilogues run job-parallel), and a Float32 job below the
+// floor among whole double jobs.
+TEST(BatchedRun, WholeJobRuleBoundariesStayTileLevel) {
+  const Options opt = batch_options("hybrid", true);
+  sched::Session session(sched::SessionOptions{4, false});
+  const auto run_both = [&](std::vector<Matrix> as, std::vector<Matrix> bs,
+                            int float32_job) {
+    std::vector<Matrix> seq_as = as;
+    std::vector<core::BatchRunResult> runs;
+    for (std::vector<Matrix>* ms : {&seq_as, &as}) {
+      std::vector<core::BatchJob> jobs = factor_jobs(*ms, opt);
+      for (std::size_t i = 0; i < bs.size(); ++i) jobs[i].rhs = &bs[i];
+      if (float32_job >= 0)
+        jobs[std::size_t(float32_job)].options.precision =
+            core::Precision::Float32;
+      const core::BatchMode mode = ms == &seq_as
+                                       ? core::BatchMode::Sequential
+                                       : core::BatchMode::Fused;
+      runs.push_back(core::batched_run(jobs, session, mode));
+    }
+    for (std::size_t i = 0; i < as.size(); ++i) {
+      SCOPED_TRACE("job " + std::to_string(i));
+      EXPECT_TRUE(test::same_bits(as[i], seq_as[i]));
+      EXPECT_EQ(runs[1].jobs[i].factorization.ipiv,
+                runs[0].jobs[i].factorization.ipiv);
+      if (i < bs.size()) {
+        EXPECT_TRUE(test::same_bits(runs[1].jobs[i].x, runs[0].jobs[i].x));
+      }
+    }
+    return runs[1];
+  };
+  const auto expect_tile_level = [](const core::BatchJobResult& r) {
+    EXPECT_FALSE(r.whole_job);
+    const auto& eng = r.factorization.stats.engine;
+    EXPECT_EQ(eng.static_pops + eng.dynamic_pops,
+              static_cast<std::uint64_t>(r.factorization.stats.tasks));
+  };
+  {
+    SCOPED_TRACE("lone n=256");
+    ASSERT_EQ(core::team_share(sizeof(double) * 256 * 256, 4), 1);
+    expect_tile_level(
+        run_both({Matrix::random(256, 256, 2601)}, {}, -1).jobs[0]);
+  }
+  {
+    SCOPED_TRACE("two equal rhs jobs");
+    core::BatchRunResult r = run_both(
+        {Matrix::random(64, 64, 2602), Matrix::random(64, 64, 2603)},
+        {Matrix::random(64, 1, 2604), Matrix::random(64, 2, 2605)}, -1);
+    for (const core::BatchJobResult& j : r.jobs) expect_tile_level(j);
+  }
+  {
+    SCOPED_TRACE("Float32 below the floor");
+    std::vector<Matrix> ms;
+    for (int i = 0; i < 8; ++i)
+      ms.push_back(Matrix::random(64, 64, 2610 + std::uint64_t(i)));
+    core::BatchRunResult r = run_both(ms, {}, 3);
+    for (std::size_t i = 0; i < ms.size(); ++i) {
+      SCOPED_TRACE("job " + std::to_string(i));
+      if (i == 3)
+        expect_tile_level(r.jobs[i]);
+      else
+        EXPECT_TRUE(r.jobs[i].whole_job);
+    }
+  }
+}
+
+// A whole job's callback fires once, after its result is ready: the
+// in-place factors are already the Sequential ones when it runs.
+TEST(BatchedRun, WholeJobCallbacksFireOnceWithTheResultReady) {
+  const WholeBatch wb(2701);
+  const Options opt = batch_options("hybrid", true);
+  std::vector<Matrix> seq_ms = wb.as;
+  std::vector<core::BatchJob> seq_jobs = wb.jobs(seq_ms, opt);
+  sched::Session session(sched::SessionOptions{4, false});
+  core::batched_run(seq_jobs, session, core::BatchMode::Sequential);
+
+  std::vector<Matrix> ms = wb.as;
+  std::vector<core::BatchJob> jobs = wb.jobs(ms, opt);
+  std::vector<std::atomic<int>> fired(jobs.size());
+  std::vector<std::atomic<bool>> ready(jobs.size());
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    fired[i].store(0);
+    ready[i].store(false);
+    jobs[i].on_complete = [&, i](int job) {
+      EXPECT_EQ(job, static_cast<int>(i));
+      fired[i].fetch_add(1);
+      // Factor-only jobs overwrite their A: it must already hold the
+      // factors here.  rhs jobs leave A untouched either way.
+      ready[i].store(test::same_bits(ms[i], seq_ms[i]));
+    };
+  }
+  core::BatchRunResult res =
+      core::batched_run(jobs, session, core::BatchMode::Fused);
+  std::vector<int> sorted = res.completion_order;
+  std::sort(sorted.begin(), sorted.end());
+  std::vector<int> all(jobs.size());
+  for (std::size_t i = 0; i < all.size(); ++i) all[i] = static_cast<int>(i);
+  EXPECT_EQ(sorted, all);
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    SCOPED_TRACE("job " + std::to_string(i));
+    EXPECT_EQ(fired[i].load(), 1);
+    if (res.jobs[i].whole_job) {
+      EXPECT_TRUE(ready[i].load());
+    }
+    EXPECT_GT(res.jobs[i].completed_at, 0.0);
+  }
+}
+
+// Whole jobs run their CALU tasks in id order, which needs every edge to
+// point from a lower id to a higher one.
+TEST(CaluPlan, TaskIdsAreATopologicalOrder) {
+  for (layout::Layout lay :
+       {layout::Layout::ColumnMajor, layout::Layout::BlockCyclic,
+        layout::Layout::TwoLevelBlock})
+    for (double dratio : {0.0, 0.1, 1.0})
+      for (bool pack : {true, false})
+        for (layout::Grid g : {layout::Grid{1, 1}, layout::Grid{2, 2},
+                               layout::Grid{1, 3}, layout::Grid{3, 1}})
+          for (layout::Tiling t : {layout::Tiling{96, 96, 16},
+                                   layout::Tiling{130, 70, 32},
+                                   layout::Tiling{50, 120, 16}}) {
+            SCOPED_TRACE(std::string(layout::layout_name(lay)) +
+                         " d=" + std::to_string(dratio) +
+                         " pack=" + std::to_string(pack) + " grid=" +
+                         std::to_string(g.pr) + "x" + std::to_string(g.pc) +
+                         " m=" + std::to_string(t.m));
+            const core::CaluPlan plan =
+                core::build_plan(t, g, lay, dratio, 3, pack);
+            const sched::TaskGraph& dag = plan.graph;
+            EXPECT_TRUE(dag.id_ordered());
+            for (int id = 0; id < dag.num_tasks(); ++id)
+              for (int s : dag.successors(id)) ASSERT_GT(s, id);
+          }
+}
+
+// ---------------------------------------------------- input validation ---
+
+// A 64 x 64 A with a 32-row rhs used to corrupt the heap in Release
+// builds.  Both modes now refuse the whole batch before any job runs.
+TEST(BatchedRun, RejectsInvalidJobsBeforeAnyWork) {
+  Matrix a = Matrix::random(64, 64, 2801);
+  const Matrix short_rhs = Matrix::random(32, 1, 2802);
+  const Matrix ok = Matrix::random(48, 48, 2803);
+  Options opt = batch_options("hybrid", true);
+  opt.b = 32;
+
+  core::BatchJob probe{&a, &short_rhs, opt, {}};
+  EXPECT_EQ(core::validate(probe), core::JobError::RhsRows);
+  core::BatchJob null_a{nullptr, nullptr, opt, {}};
+  EXPECT_EQ(core::validate(null_a), core::JobError::NullMatrix);
+  Matrix wide = Matrix::random(32, 64, 2804);
+  const Matrix rhs32 = Matrix::random(32, 1, 2805);
+  core::BatchJob wide_rhs{&wide, &rhs32, opt, {}};
+  EXPECT_EQ(core::validate(wide_rhs), core::JobError::RhsNotSquare);
+  core::BatchJob wide_factor{&wide, nullptr, opt, {}};
+  EXPECT_EQ(core::validate(wide_factor), core::JobError::None);
+  core::BatchJob no_tile = wide_factor;
+  no_tile.options.b = 0;
+  EXPECT_EQ(core::validate(no_tile), core::JobError::TileSize);
+
+  sched::Session session(sched::SessionOptions{4, false});
+  for (core::BatchMode mode :
+       {core::BatchMode::Fused, core::BatchMode::Sequential})
+    for (const core::BatchJob& bad : {probe, null_a, wide_rhs, no_tile}) {
+      // A valid job ahead of the bad one must not have run either.
+      Matrix first = ok;
+      int callbacks = 0;
+      std::vector<core::BatchJob> jobs(2);
+      jobs[0].a = &first;
+      jobs[0].options = opt;
+      jobs[0].on_complete = [&callbacks](int) { ++callbacks; };
+      jobs[1] = bad;
+      try {
+        core::batched_run(jobs, session, mode);
+        ADD_FAILURE() << "invalid batch accepted";
+      } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find("job 1"), std::string::npos)
+            << e.what();
+      }
+      EXPECT_TRUE(test::same_bits(first, ok));
+      EXPECT_EQ(callbacks, 0);
+    }
+  EXPECT_EQ(session.runs(), 0u);
+  std::vector<core::BatchJob> one{probe};
+  EXPECT_THROW(core::batched_run(one), std::invalid_argument);
 }
 
 TEST(BatchedRun, EmptyBatchIsANoOp) {

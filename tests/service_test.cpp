@@ -129,6 +129,35 @@ TEST(Service, SolvesAndFactorsMatchOneShot) {
   EXPECT_EQ(test::max_abs_diff(a, ref), 0.0);
 }
 
+// The heap-corrupting batched_run probe (64 x 64 A, 32-row rhs) is
+// refused at the door in every build type, counted, and never reaches
+// the dispatcher: a valid request submitted right after it is answered.
+TEST(Service, InvalidRequestIsRefusedAndServiceKeepsServing) {
+  Matrix a = Matrix::random(64, 64, 9101);
+  const Matrix short_rhs = Matrix::random(32, 1, 9102);
+  const Matrix b = Matrix::random(64, 1, 9103);
+  Options opt = request_options();
+  opt.b = 32;
+
+  Service svc(small_service());
+  Submission bad = svc.submit({&a, &short_rhs, opt, nullptr});
+  EXPECT_EQ(bad.status, SubmitStatus::Invalid);
+  EXPECT_FALSE(bad.response.valid());
+  EXPECT_STREQ(sched::submit_status_name(bad.status), "invalid");
+  EXPECT_EQ(svc.submit({nullptr, nullptr, opt, nullptr}).status,
+            SubmitStatus::Invalid);
+
+  Submission good = svc.submit({&a, &b, opt, nullptr});
+  ASSERT_EQ(good.status, SubmitStatus::Accepted);
+  EXPECT_LT(good.response.get().result.residual, 1e-13);
+  svc.drain();
+  const sched::ServiceCounters c = svc.counters(PriorityClass::Interactive);
+  EXPECT_EQ(c.invalid, 2u);
+  EXPECT_EQ(c.accepted, 1u);
+  EXPECT_EQ(c.completed, 1u);
+  EXPECT_EQ(c.failed, 0u);
+}
+
 TEST(Service, SubmitFromManyThreads) {
   constexpr int kThreads = 8;
   constexpr int kPerThread = 6;
