@@ -19,6 +19,10 @@
 // otherwise hide it.  --json writes BENCH_batch.json (committed at the
 // repo root as the perf-trajectory artifact; CI smoke-validates its
 // shape).
+// Each row reports the median of its reps (CALU_BENCH_REPS); a lone-job
+// row repeats until it has run >= 0.2 s and >= 15 reps, since a few reps
+// of one ~1 ms job are too noisy to be a trajectory.  The JSON records
+// each row's rep count and the host (cpu counts, dispatched kernel).
 // Timed regions include team construction — that is the cost under
 // measurement — and `teams_spawned` is counted via
 // ThreadTeam::teams_constructed(), not inferred from timing.  Latency is
@@ -39,6 +43,7 @@
 #include <vector>
 
 #include "bench/bench_common.h"
+#include "src/blas/microkernel.h"
 #include "src/core/batch.h"
 #include "src/core/solve.h"
 #include "src/sched/engine_registry.h"
@@ -85,6 +90,7 @@ const char* shape_name(const Config& c) {
 
 struct Result {
   Config cfg;
+  int reps = 0;
   double seconds = 0.0;  // median over reps, whole batch
   double jobs_per_s = 0.0;
   double latency_ms = 0.0;   // mean per-job, seconds / jobs
@@ -141,6 +147,12 @@ double fused_busy_balance(std::vector<core::BatchJob> jobs,
   return ratios[ratios.size() / 2];
 }
 
+/// A lone job is ~1 ms, where a few reps swing its jobs/s by 10-20%
+/// between runs: such rows repeat until both floors are met and report
+/// the median.
+constexpr double kLoneJobMinSeconds = 0.2;
+constexpr int kLoneJobMinReps = 15;
+
 Result run_config(const Config& cfg, const core::Options& opt, int reps) {
   std::vector<layout::Matrix> as, bs;
   for (int i = 0; i < cfg.jobs; ++i) {
@@ -165,7 +177,11 @@ Result run_config(const Config& cfg, const core::Options& opt, int reps) {
   std::vector<double> secs;
   std::vector<double> lat;  // per-job open-loop latency, pooled over reps
   lat.reserve(static_cast<std::size_t>(cfg.jobs) * reps);
-  for (int r = 0; r < reps; ++r) {
+  const bool lone = cfg.jobs == 1;
+  double total = 0.0;
+  for (int r = 0; r < reps || (lone && (r < kLoneJobMinReps ||
+                                        total < kLoneJobMinSeconds));
+       ++r) {
     const std::uint64_t teams0 = sched::ThreadTeam::teams_constructed();
     const auto t0 = std::chrono::steady_clock::now();
     if (cfg.mode == Mode::OneShot) {
@@ -186,9 +202,11 @@ Result run_config(const Config& cfg, const core::Options& opt, int reps) {
         lat.push_back(j.completed_at);
     }
     secs.push_back(seconds_since(t0));
+    total += secs.back();
     if (r == 0)
       res.teams_spawned = sched::ThreadTeam::teams_constructed() - teams0;
   }
+  res.reps = static_cast<int>(secs.size());
   std::sort(secs.begin(), secs.end());
   res.seconds = secs[secs.size() / 2];
   res.jobs_per_s = cfg.jobs / res.seconds;
@@ -228,7 +246,8 @@ std::vector<LocalityResult> steal_locality_sweep(int threads) {
 }
 
 void write_json(const char* path, const std::vector<Result>& results,
-                int threads, const std::string& engine, int reps) {
+                int threads, const std::string& engine, int reps,
+                const bench::HostCpus& hc) {
   std::FILE* f = std::fopen(path, "w");
   if (!f) {
     std::fprintf(stderr, "cannot open %s\n", path);
@@ -236,6 +255,12 @@ void write_json(const char* path, const std::vector<Result>& results,
   }
   std::fprintf(f, "{\n");
   std::fprintf(f, "  \"bench\": \"batch_throughput\",\n");
+  std::fprintf(f,
+               "  \"host\": {\"hardware_threads\": %d, \"cpus_online\": %ld, "
+               "\"cpus_configured\": %ld, \"cpus_affinity\": %d, "
+               "\"kernel\": \"%s\"},\n",
+               hc.hardware_threads, hc.online, hc.configured, hc.affinity,
+               blas::active_kernel().name);
   std::fprintf(f, "  \"threads\": %d,\n", threads);
   std::fprintf(f, "  \"engine\": \"%s\",\n", engine.c_str());
   std::fprintf(f, "  \"reps\": %d,\n", reps);
@@ -247,7 +272,7 @@ void write_json(const char* path, const std::vector<Result>& results,
     std::fprintf(f,
                  "    {\"n\": %d, \"b\": %d, \"jobs\": %d, "
                  "\"shape\": \"%s\", "
-                 "\"mode\": \"%s\", \"session_reuse\": %s, "
+                 "\"mode\": \"%s\", \"session_reuse\": %s, \"reps\": %d, "
                  "\"seconds\": %.6f, \"jobs_per_s\": %.2f, "
                  "\"latency_ms\": %.3f, \"lat_p50_ms\": %.3f, "
                  "\"lat_p95_ms\": %.3f, \"lat_p99_ms\": %.3f, "
@@ -255,7 +280,7 @@ void write_json(const char* path, const std::vector<Result>& results,
                  "\"busy_max_over_mean\": %.3f}%s\n",
                  r.cfg.n, r.cfg.b, r.cfg.jobs, shape_name(r.cfg),
                  mode_name(r.cfg.mode), r.cfg.reuse() ? "true" : "false",
-                 r.seconds, r.jobs_per_s, r.latency_ms, r.lat_p50_ms,
+                 r.reps, r.seconds, r.jobs_per_s, r.latency_ms, r.lat_p50_ms,
                  r.lat_p95_ms, r.lat_p99_ms,
                  static_cast<unsigned long long>(r.teams_spawned),
                  static_cast<unsigned long long>(r.dag_runs),
@@ -311,6 +336,8 @@ int main(int argc, char** argv) {
   const int arg_threads = threads_flag(argc, argv);
   const int threads = arg_threads > 0 ? arg_threads : numa_threads();
   const int nreps = reps();
+  // Before any pinned session narrows this thread's affinity mask.
+  const HostCpus host = host_cpus();
 
   core::Options opt;
   opt.threads = threads;
@@ -365,6 +392,6 @@ int main(int argc, char** argv) {
   run_row(mixed);
 
   if (!json_path.empty())
-    write_json(json_path.c_str(), results, threads, engine, nreps);
+    write_json(json_path.c_str(), results, threads, engine, nreps, host);
   return 0;
 }

@@ -19,6 +19,13 @@
 
 #include "src/calu.h"
 
+#if defined(__linux__)
+#include <sched.h>
+#endif
+#if defined(__unix__) || defined(__APPLE__)
+#include <unistd.h>
+#endif
+
 namespace calu::bench {
 
 inline int env_int(const char* name, int def) {
@@ -168,6 +175,62 @@ inline void print_banner(const char* fig, const char* what,
               full_scale()
                   ? "FULL paper sizes"
                   : "scaled sizes (CALU_BENCH_FULL=1 for paper sizes)");
+}
+
+// Core counts from every angle the container stack can distort them:
+// std::thread::hardware_concurrency respects some cgroup limits,
+// sysconf reports what the kernel exposes, and sched_getaffinity is
+// what this process may actually run on.  Recording all three makes
+// later cross-container perf comparisons interpretable (a "1" in one
+// field no longer poisons the whole host block).
+struct HostCpus {
+  int hardware_threads = 1;  // std::thread::hardware_concurrency
+  long online = -1;          // _SC_NPROCESSORS_ONLN
+  long configured = -1;      // _SC_NPROCESSORS_CONF
+  int affinity = -1;         // CPU_COUNT(sched_getaffinity)
+};
+
+inline HostCpus host_cpus() {
+  HostCpus h;
+  h.hardware_threads = sched::ThreadTeam::hardware_threads();
+#if defined(_SC_NPROCESSORS_ONLN)
+  h.online = sysconf(_SC_NPROCESSORS_ONLN);
+#endif
+#if defined(_SC_NPROCESSORS_CONF)
+  h.configured = sysconf(_SC_NPROCESSORS_CONF);
+#endif
+#if defined(__linux__)
+  cpu_set_t set;
+  if (sched_getaffinity(0, sizeof(set), &set) == 0)
+    h.affinity = CPU_COUNT(&set);
+#endif
+  return h;
+}
+
+/// Sequential TSLU of a tall m x n panel through the CALU DAG's own leaf
+/// and merge steps: leaves over row blocks of max(n, ceil(m / nchunks))
+/// rows, a binary merge tree, then the swaps and the unpivoted
+/// factorization in place.  Returns the absolute swap list.
+inline std::vector<int> tslu_panel(layout::Matrix& panel, int nchunks) {
+  const int m = panel.rows(), n = panel.cols();
+  const int rows = std::max(n, (m + nchunks - 1) / std::max(nchunks, 1));
+  const layout::PackedMatrix p = layout::PackedMatrix::pack(
+      panel, layout::Layout::ColumnMajor, rows, layout::Grid{});
+  std::vector<core::Candidates> nodes;
+  for (int I = 0; I < p.tiling().mb(); ++I)
+    nodes.push_back(core::tslu_leaf(p, 0, {I}));
+  while (nodes.size() > 1) {
+    std::vector<core::Candidates> next;
+    for (std::size_t i = 0; i + 1 < nodes.size(); i += 2)
+      next.push_back(core::tslu_merge(nodes[i], nodes[i + 1]));
+    if (nodes.size() % 2 == 1) next.push_back(std::move(nodes.back()));
+    nodes = std::move(next);
+  }
+  const core::Candidates& root = nodes.front();
+  std::vector<int> swaps = core::build_swap_list(root.src, 0, root.count);
+  blas::laswp(n, panel.data(), panel.ld(), 0, root.count, swaps.data());
+  blas::getrf_nopiv(m, n, panel.data(), panel.ld());
+  return swaps;
 }
 
 }  // namespace calu::bench

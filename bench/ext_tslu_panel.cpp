@@ -48,7 +48,7 @@ int main() {
       for (int r = 0; r < reps(); ++r) {
         layout::Matrix p = p0;
         const auto t0 = std::chrono::steady_clock::now();
-        core::tslu_factor(p, chunks);
+        tslu_panel(p, chunks);
         best = std::min(best, std::chrono::duration<double>(
                                   std::chrono::steady_clock::now() - t0)
                                   .count());

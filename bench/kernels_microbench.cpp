@@ -8,7 +8,9 @@
 // blocked panel factorization, and the fused row swaps at the paper's
 // tile sizes and writes machine-readable GFLOP/s (GB/s for laswp),
 // giving later PRs a perf trajectory to compare against
-// (bench/run_bench.sh drives it).  Under a CALU_KERNEL pin only the
+// (bench/run_bench.sh drives it).  It also records the tile-edge gemm
+// shapes and the narrow n = 2048 getrs on column-major and packed
+// factors.  Under a CALU_KERNEL pin only the
 // pinned variant is swept — that keeps CI's generic-dispatch smoke run
 // honest and fast.
 #include <benchmark/benchmark.h>
@@ -22,15 +24,10 @@
 #include <utility>
 #include <vector>
 
-#if defined(__linux__)
-#include <sched.h>
-#endif
-#if defined(__unix__) || defined(__APPLE__)
-#include <unistd.h>
-#endif
-
 #include "src/blas/microkernel.h"
+#include "bench/bench_common.h"
 #include "src/calu.h"
+#include "src/util/aligned_buffer.h"
 
 namespace {
 
@@ -116,7 +113,7 @@ void BM_TsluPanel(benchmark::State& state) {
   auto a0 = layout::Matrix::random(m, n, 1);
   for (auto _ : state) {
     auto a = a0;
-    auto swaps = core::tslu_factor(a, chunks);
+    auto swaps = bench::tslu_panel(a, chunks);
     benchmark::DoNotOptimize(swaps.data());
   }
 }
@@ -166,36 +163,6 @@ double gflops_of(double flops, const std::function<void()>& fn) {
   return flops / seconds_of(fn) * 1e-9;
 }
 
-// Core counts from every angle the container stack can distort them:
-// std::thread::hardware_concurrency respects some cgroup limits,
-// sysconf reports what the kernel exposes, and sched_getaffinity is
-// what this process may actually run on.  Recording all three makes
-// later cross-container perf comparisons interpretable (a "1" in one
-// field no longer poisons the whole host block).
-struct HostCpus {
-  int hardware_threads = 1;  // std::thread::hardware_concurrency
-  long online = -1;          // _SC_NPROCESSORS_ONLN
-  long configured = -1;      // _SC_NPROCESSORS_CONF
-  int affinity = -1;         // CPU_COUNT(sched_getaffinity)
-};
-
-HostCpus host_cpus() {
-  HostCpus h;
-  h.hardware_threads = sched::ThreadTeam::hardware_threads();
-#if defined(_SC_NPROCESSORS_ONLN)
-  h.online = sysconf(_SC_NPROCESSORS_ONLN);
-#endif
-#if defined(_SC_NPROCESSORS_CONF)
-  h.configured = sysconf(_SC_NPROCESSORS_CONF);
-#endif
-#if defined(__linux__)
-  cpu_set_t set;
-  if (sched_getaffinity(0, sizeof(set), &set) == 0)
-    h.affinity = CPU_COUNT(&set);
-#endif
-  return h;
-}
-
 // LU panel flop count (multiply + add each counted), m >= the k = min
 // dimension of the panel.
 double lu_flops(int m, int n) {
@@ -216,6 +183,52 @@ std::vector<float> frandom(int m, int n, std::uint64_t seed) {
   return out;
 }
 
+/// The narrow getrs of one n = 2048, nrhs = 1 solve (ms per solve, best
+/// of the timed reps) on the dispatched kernel: laswp + the two trsm
+/// calls it replaced, core::getrs on the column-major factors, and
+/// core::getrs on the same factors packed BCL at b = 100 — serial and
+/// split over a team of every cpu in the affinity mask.
+void write_solve_rows(std::FILE* f) {
+  const int n = 2048, b = 100;
+  const int p = sched::ThreadTeam::hardware_threads();
+  layout::Matrix lu = layout::Matrix::random(n, n, 5);
+  std::vector<int> ipiv(n);
+  blas::getrf_recursive(n, n, lu.data(), lu.ld(), ipiv.data());
+  const layout::Grid grid{2, 2};
+  const layout::PackedMatrix packed = layout::PackedMatrix::pack(
+      lu, layout::Layout::BlockCyclic, b, grid);
+  const layout::Matrix rhs = layout::Matrix::random(n, 1, 6);
+  layout::Matrix x = rhs;
+  sched::ThreadTeam team(p, false);
+  const auto ms = [&](const std::function<void()>& solve) {
+    const double s_all = seconds_of([&] {
+      x = rhs;
+      solve();
+    });
+    return 1e3 * (s_all - seconds_of([&] { x = rhs; }));
+  };
+  const double trsm_ms = ms([&] {
+    blas::laswp(1, x.data(), x.ld(), 0, n, ipiv.data());
+    blas::trsm(blas::Side::Left, blas::UpLo::Lower, blas::Trans::No,
+               blas::Diag::Unit, n, 1, 1.0, lu.data(), n, x.data(), n);
+    blas::trsm(blas::Side::Left, blas::UpLo::Upper, blas::Trans::No,
+               blas::Diag::NonUnit, n, 1, 1.0, lu.data(), n, x.data(), n);
+  });
+  double cm_ms[2], packed_ms[2];
+  for (int t = 0; t < 2; ++t) {
+    sched::ThreadTeam* tm = t == 0 ? nullptr : &team;
+    cm_ms[t] = ms([&] { core::getrs(lu, ipiv, x, tm); });
+    packed_ms[t] = ms([&] { core::getrs(packed, ipiv, x, tm); });
+  }
+  std::fprintf(f,
+               "  \"solve_2048_nrhs1_ms\": {\"kernel\": \"%s\", "
+               "\"threads_p\": %d, \"laswp_trsm\": %.3f,\n"
+               "    \"getrs_cm\": {\"1\": %.3f, \"p\": %.3f}, "
+               "\"getrs_packed_bcl_b100\": {\"1\": %.3f, \"p\": %.3f}}\n",
+               blas::active_kernel().name, p, trsm_ms, cm_ms[0], cm_ms[1],
+               packed_ms[0], packed_ms[1]);
+}
+
 int run_json(const char* path) {
   std::FILE* f = std::fopen(path, "w");
   if (!f) {
@@ -223,7 +236,7 @@ int run_json(const char* path) {
     return 1;
   }
   const blas::CacheInfo ci = blas::cache_info();
-  const HostCpus hc = host_cpus();
+  const bench::HostCpus hc = bench::host_cpus();
   std::fprintf(f, "{\n  \"bench\": \"kernels_microbench\",\n");
   std::fprintf(f,
                "  \"host\": {\"hardware_threads\": %d, \"cpus_online\": %ld, "
@@ -297,6 +310,29 @@ int run_json(const char* path) {
       });
       std::fprintf(f, "%s\"%d\": %.2f", g > 1 ? ", " : "", g, gf);
     }
+    std::fprintf(f, "},\n");
+    // Tile-edge shapes of the packed S-task gemm: an m-row tile-column
+    // segment times a b x b tile at the two perfbench tile sizes, so
+    // the edge strips (m mod mr rows) are on the trajectory.
+    std::fprintf(f, "     \"gemm_edge_gflops\": {");
+    bool first_edge = true;
+    for (int b : {32, 100})
+      for (int m : {32, 100, 300}) {
+        auto l = layout::Matrix::random(m, b, 1);
+        auto u = layout::Matrix::random(b, b, 2);
+        auto c = layout::Matrix::random(m, b, 3);
+        util::AlignedBufferT<double> pa, pb;
+        pa.reserve(blas::packed_a_size(m, b));
+        pb.reserve(blas::packed_b_size(b, b));
+        blas::gemm_pack_a(blas::Trans::No, m, b, l.data(), m, pa.data());
+        blas::gemm_pack_b(blas::Trans::No, b, b, u.data(), b, pb.data());
+        const double gf = gflops_of(2.0 * m * b * b, [&] {
+          blas::gemm_packed(m, b, b, -1.0, pa.data(), pb.data(), c.data(), m);
+        });
+        std::fprintf(f, "%s\"m%d_b%d\": %.2f", first_edge ? "" : ", ", m, b,
+                     gf);
+        first_edge = false;
+      }
     std::fprintf(f, "},\n");
     // trsm at tile sizes (unit-lower left solve, the U-task operator).
     std::fprintf(f, "     \"trsm_gflops\": {");
@@ -431,7 +467,9 @@ int run_json(const char* path) {
     std::fprintf(f, "}}}%s\n", ki + 1 < names.size() ? "," : "");
   }
   blas::select_kernel(nullptr);
-  std::fprintf(f, "  ]\n}\n");
+  std::fprintf(f, "  ],\n");
+  write_solve_rows(f);
+  std::fprintf(f, "}\n");
   std::fclose(f);
   std::printf("wrote %s\n", path);
   return 0;

@@ -19,8 +19,10 @@
 // i.e. the LAPACK convention shifted to 0-based indexing.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 namespace calu::blas {
@@ -86,6 +88,18 @@ void gemm_packed(int m, int n, int k, double alpha, const double* apack,
 void gemm_packed(int m, int n, int k, float alpha, const float* apack,
                  const float* bpack, float* c, int ldc);
 
+/// Pack-free update for the narrow-RHS solves (getrs_tiles below):
+/// C(0:m, 0:n) += alpha * A * B, where acols[p] points at the m
+/// contiguous values of A's column p (p < k) and B is column-major k x n.
+/// The m rows are rows of a gemm(No, No, gemm_m, n, k, alpha, ..., beta =
+/// 1) call, and each gets exactly the bits that call would write: the
+/// active micro-kernel's fma chain when gemm_m * n * k reaches gemm's
+/// blocked-path threshold, gemm's naive multiply-add chain below it.
+/// Rows never interact, so any row split gives the same bits.
+void gemm_cols(int gemm_m, int m, int n, int k, double alpha,
+               const double* const* acols, const double* b, int ldb,
+               double* c, int ldc);
+
 /// Diagonal-block width of the blocked trsm: the triangle is processed in
 /// kTrsmBlock-wide blocks whose inverses are precomputed once per call so
 /// the block solves run as register-kernel gemms.  Exported so the
@@ -103,6 +117,50 @@ void trsm(Side side, UpLo uplo, Trans trans, Diag diag, int m, int n,
           double alpha, const double* t, int ldt, double* b, int ldb);
 void trsm(Side side, UpLo uplo, Trans trans, Diag diag, int m, int n,
           float alpha, const float* t, int ldt, float* b, int ldb);
+
+/// Fewest right-hand sides for which trsm recasts its diagonal solves as
+/// multiplies by inverted blocks; narrower B takes the substitution path.
+inline constexpr int kInvMinRhs = 32;
+
+/// Read-only view of an n x n matrix stored as b x b column-major tiles
+/// (edge tiles partial): tile (I, J) starts at tile[I + J * mb] with
+/// leading dimension ld[I + J * mb].  A column-major matrix is the one-
+/// tile view (column_major()); a layout::PackedMatrix of any layout maps
+/// onto it tile by tile.
+struct TileView {
+  int n = 0, b = 1, mb = 1;
+  std::vector<const double*> tile;
+  std::vector<int> ld;
+
+  static TileView column_major(int n, const double* a, int lda);
+
+  /// Pointer to element (i, j).
+  const double* at(int i, int j) const {
+    const int t = i / b + (j / b) * mb;
+    return tile[t] + (i % b) + static_cast<std::size_t>(j % b) * ld[t];
+  }
+  /// Rows that lie contiguously from row i down in any column: up to the
+  /// end of i's tile row.
+  int run(int i) const { return std::min(n, (i / b + 1) * b) - i; }
+};
+
+/// Splits an update of `rows` rows: calls part(r0, r1) over a partition
+/// of [0, rows), possibly concurrently, and returns once every part is
+/// done.  An empty RowSplit runs part(0, rows) on the caller.
+using RowSplit =
+    std::function<void(int rows, const std::function<void(int, int)>& part)>;
+
+/// Narrow-RHS getrs (nrhs < kInvMinRhs) on factors seen through a tile
+/// view: applies the swap sequence ipiv[0..n) to B (n x nrhs), then
+/// solves L (unit lower) and U (upper) in the kTrsmBlock-row blocks of
+/// trsm's substitution path.  Each diagonal block is solved by that
+/// path's unblocked substitution on a gathered copy, and every off-
+/// diagonal update goes through gemm_cols, split by rows with `split`.
+/// So B gets the bits of laswp + trsm(Left, Lower, No, Unit) +
+/// trsm(Left, Upper, No, NonUnit) on the column-major factors, whatever
+/// the view's tiling and however the rows are split.
+void getrs_tiles(const TileView& lu, const int* ipiv, int nrhs, double* b,
+                 int ldb, const RowSplit& split = {});
 
 /// Apply the swap sequence ipiv[k1..k2) to rows of the m x n matrix A:
 /// for i = k1..k2-1 (forward) or k2-1..k1 (backward): swap rows i and

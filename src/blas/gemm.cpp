@@ -32,6 +32,10 @@ inline T elem(const T* x, int ld, Trans t, int i, int j) {
                         : x[j + static_cast<std::size_t>(i) * ld];
 }
 
+// Problems below this many multiply-adds take gemm_naive: packing would
+// dominate them.
+constexpr long long kNaiveMaxWork = 32LL * 32 * 32;
+
 // Naive kernel for small problems and for the beta scaling of edge cases.
 template <class T>
 void gemm_naive(Trans ta, Trans tb, int m, int n, int k, T alpha, const T* a,
@@ -179,7 +183,7 @@ void gemm_impl(Trans ta, Trans tb, int m, int n, int k, T alpha, const T* a,
     return;
   }
   // Small problems: the packing overhead dominates, use the direct loop.
-  if (static_cast<long long>(m) * n * k < 32LL * 32 * 32) {
+  if (static_cast<long long>(m) * n * k < kNaiveMaxWork) {
     gemm_naive(ta, tb, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc);
     return;
   }
@@ -224,7 +228,38 @@ void gemm_impl(Trans ta, Trans tb, int m, int n, int k, T alpha, const T* a,
   }
 }
 
+// gemm_naive's No-trans, beta = 1 chain with A read through column
+// pointers: the same expressions in the same order, so each element
+// rounds as gemm_naive rounds it.
+void naive_cols(int m, int n, int k, double alpha, const double* const* acols,
+                const double* b, int ldb, double* c, int ldc) {
+  for (int j = 0; j < n; ++j) {
+    double* cj = c + static_cast<std::size_t>(j) * ldc;
+    for (int p = 0; p < k; ++p) {
+      const double bpj = alpha * b[p + static_cast<std::size_t>(j) * ldb];
+      if (bpj == 0.0) continue;
+      const double* ap = acols[p];
+      for (int i = 0; i < m; ++i) cj[i] += ap[i] * bpj;
+    }
+  }
+}
+
 }  // namespace
+
+void gemm_cols(int gemm_m, int m, int n, int k, double alpha,
+               const double* const* acols, const double* b, int ldb,
+               double* c, int ldc) {
+  if (m == 0 || n == 0 || k == 0 || alpha == 0.0) return;
+  if (static_cast<long long>(gemm_m) * n * k < kNaiveMaxWork) {
+    naive_cols(m, n, k, alpha, acols, b, ldb, c, ldc);
+    return;
+  }
+  // The blocked path's kc split: one chain and write-back per block.
+  const MicroKernel& mk = active_kernel();
+  for (int pc = 0; pc < k; pc += mk.kc)
+    mk.pack_free(m, n, std::min(mk.kc, k - pc), alpha, acols + pc, b + pc,
+                 ldb, c, ldc);
+}
 
 template <class T>
 std::size_t packed_a_size(int m, int k) {

@@ -1,9 +1,11 @@
 // microkernel.cpp — the register kernels and the startup dispatch.
 //
-// Each SIMD gemm kernel always accumulates the full (padded) register
-// tile with vector FMAs and only masks the write-back; the edge
-// write-back uses scalar std::fma so it rounds exactly like the vector
-// path (see the numerical contract in microkernel.h).
+// Each SIMD gemm kernel accumulates with vector FMAs only the vectors of
+// the register tile that hold the strip's rows, and writes edge rows back
+// under a lane mask with the same fused multiply-add, so every element
+// rounds exactly as on the full-strip path (see the numerical contract in
+// microkernel.h).  The pack-free update kernels reproduce the same
+// per-element chain with A read in place.
 //
 // The panel kernels have the opposite contract — one multiply and one
 // subtract per term, each individually rounded, accumulating directly
@@ -25,11 +27,13 @@
 #include "src/blas/panel_kernels.h"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <utility>
 
 #if defined(__x86_64__) || defined(__i386__)
 #define CALU_X86 1
@@ -64,6 +68,29 @@ void kernel_c(int kc, T alpha, const T* ap, const T* bp, T* c, int ldc,
     T* cj = c + static_cast<std::size_t>(j) * ldc;
     const T* accj = acc + j * MR;
     for (int i = 0; i < mr; ++i) cj[i] += alpha * accj[i];
+  }
+}
+
+// Pack-free twin of kernel_c: the same expressions in the same order, so
+// each element rounds as kernel_c rounds it on any target (including
+// the ones where the compiler contracts them into fmas).
+template <class T>
+void pack_free_c(int m, int n, int kc, T alpha, const T* const* acols,
+                 const T* b, int ldb, T* c, int ldc) {
+  constexpr int MR = 8;
+  for (int j = 0; j < n; ++j) {
+    const T* bj = b + static_cast<std::size_t>(j) * ldb;
+    T* cj = c + static_cast<std::size_t>(j) * ldc;
+    for (int i0 = 0; i0 < m; i0 += MR) {
+      const int rows = std::min(MR, m - i0);
+      T acc[MR] = {};
+      for (int p = 0; p < kc; ++p) {
+        const T* a = acols[p] + i0;
+        const T bpj = bj[p];
+        for (int i = 0; i < rows; ++i) acc[i] += a[i] * bpj;
+      }
+      for (int i = 0; i < rows; ++i) cj[i0 + i] += alpha * acc[i];
+    }
   }
 }
 
@@ -299,181 +326,363 @@ __attribute__((target("avx512f"))) void trsm_leaf_right_avx512(
 
 // --------------------------------------------------------- avx2 kernel ---
 // 8x6: 12 ymm accumulators + 2 A vectors + 1 broadcast = 15 of 16 regs.
+// An edge strip of mr <= 4 rows accumulates one vector of rows, not two.
+// Edge rows are written back through a masked load/fma/store, which
+// rounds exactly like the full-strip path.
+
+/// Lane mask of the first `rows` (< 4) doubles of a ymm vector.
+__attribute__((target("avx2,fma"))) inline __m256i avx2_mask_pd(int rows) {
+  return _mm256_cmpgt_epi64(_mm256_set1_epi64x(rows),
+                            _mm256_setr_epi64x(0, 1, 2, 3));
+}
+
+/// Lane mask of the first `rows` (< 8) floats of a ymm vector.
+__attribute__((target("avx2,fma"))) inline __m256i avx2_mask_ps(int rows) {
+  return _mm256_cmpgt_epi32(_mm256_set1_epi32(rows),
+                            _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+}
+
+template <int NV>
+__attribute__((target("avx2,fma"))) void kernel_avx2_nv(
+    int kc, double alpha, const double* ap, const double* bp, double* c,
+    int ldc, int mr, int nr) {
+  __m256d acc[NV][6];
+#pragma GCC unroll 6
+  for (int j = 0; j < 6; ++j)
+#pragma GCC unroll 2
+    for (int v = 0; v < NV; ++v) acc[v][j] = _mm256_setzero_pd();
+  for (int p = 0; p < kc; ++p) {
+    __m256d a[NV];
+#pragma GCC unroll 2
+    for (int v = 0; v < NV; ++v) a[v] = _mm256_loadu_pd(ap + 4 * v);
+    ap += 8;
+#pragma GCC unroll 6
+    for (int j = 0; j < 6; ++j) {
+      const __m256d b = _mm256_set1_pd(bp[j]);
+#pragma GCC unroll 2
+      for (int v = 0; v < NV; ++v)
+        acc[v][j] = _mm256_fmadd_pd(a[v], b, acc[v][j]);
+    }
+    bp += 6;
+  }
+  const __m256d av = _mm256_set1_pd(alpha);
+  for (int j = 0; j < nr; ++j) {
+    double* cj = c + static_cast<std::size_t>(j) * ldc;
+#pragma GCC unroll 2
+    for (int v = 0; v < NV; ++v) {
+      const int rows = mr - 4 * v;
+      double* cv = cj + 4 * v;
+      if (rows >= 4) {
+        _mm256_storeu_pd(cv, _mm256_fmadd_pd(av, acc[v][j],
+                                             _mm256_loadu_pd(cv)));
+      } else {
+        const __m256i m = avx2_mask_pd(rows);
+        _mm256_maskstore_pd(
+            cv, m,
+            _mm256_fmadd_pd(av, acc[v][j], _mm256_maskload_pd(cv, m)));
+      }
+    }
+  }
+}
 
 __attribute__((target("avx2,fma"))) void kernel_avx2(
     int kc, double alpha, const double* ap, const double* bp, double* c,
     int ldc, int mr, int nr) {
-  __m256d acc0[6], acc1[6];
-  for (int j = 0; j < 6; ++j) acc0[j] = acc1[j] = _mm256_setzero_pd();
-  for (int p = 0; p < kc; ++p) {
-    const __m256d a0 = _mm256_loadu_pd(ap);
-    const __m256d a1 = _mm256_loadu_pd(ap + 4);
-    ap += 8;
-    for (int j = 0; j < 6; ++j) {
-      const __m256d b = _mm256_set1_pd(bp[j]);
-      acc0[j] = _mm256_fmadd_pd(a0, b, acc0[j]);
-      acc1[j] = _mm256_fmadd_pd(a1, b, acc1[j]);
-    }
-    bp += 6;
-  }
-  if (mr == 8 && nr == 6) {
-    const __m256d av = _mm256_set1_pd(alpha);
-    for (int j = 0; j < 6; ++j) {
-      double* cj = c + static_cast<std::size_t>(j) * ldc;
-      _mm256_storeu_pd(cj,
-                       _mm256_fmadd_pd(av, acc0[j], _mm256_loadu_pd(cj)));
-      _mm256_storeu_pd(
-          cj + 4, _mm256_fmadd_pd(av, acc1[j], _mm256_loadu_pd(cj + 4)));
-    }
-    return;
-  }
-  double tmp[8 * 6];
-  for (int j = 0; j < 6; ++j) {
-    _mm256_storeu_pd(tmp + j * 8, acc0[j]);
-    _mm256_storeu_pd(tmp + j * 8 + 4, acc1[j]);
-  }
-  for (int j = 0; j < nr; ++j) {
-    double* cj = c + static_cast<std::size_t>(j) * ldc;
-    for (int i = 0; i < mr; ++i) cj[i] = std::fma(alpha, tmp[j * 8 + i], cj[i]);
-  }
+  if (mr <= 4)
+    kernel_avx2_nv<1>(kc, alpha, ap, bp, c, ldc, mr, nr);
+  else
+    kernel_avx2_nv<2>(kc, alpha, ap, bp, c, ldc, mr, nr);
 }
 
 // --------------------------------------------------- avx2 float kernel ---
 // 16x6: the double kernel's shape at doubled lanes (two ymm of 8 floats).
 
-__attribute__((target("avx2,fma"))) void kernel_avx2_f(
+template <int NV>
+__attribute__((target("avx2,fma"))) void kernel_avx2_f_nv(
     int kc, float alpha, const float* ap, const float* bp, float* c, int ldc,
     int mr, int nr) {
-  __m256 acc0[6], acc1[6];
-  for (int j = 0; j < 6; ++j) acc0[j] = acc1[j] = _mm256_setzero_ps();
+  __m256 acc[NV][6];
+#pragma GCC unroll 6
+  for (int j = 0; j < 6; ++j)
+#pragma GCC unroll 2
+    for (int v = 0; v < NV; ++v) acc[v][j] = _mm256_setzero_ps();
   for (int p = 0; p < kc; ++p) {
-    const __m256 a0 = _mm256_loadu_ps(ap);
-    const __m256 a1 = _mm256_loadu_ps(ap + 8);
+    __m256 a[NV];
+#pragma GCC unroll 2
+    for (int v = 0; v < NV; ++v) a[v] = _mm256_loadu_ps(ap + 8 * v);
     ap += 16;
+#pragma GCC unroll 6
     for (int j = 0; j < 6; ++j) {
       const __m256 b = _mm256_set1_ps(bp[j]);
-      acc0[j] = _mm256_fmadd_ps(a0, b, acc0[j]);
-      acc1[j] = _mm256_fmadd_ps(a1, b, acc1[j]);
+#pragma GCC unroll 2
+      for (int v = 0; v < NV; ++v)
+        acc[v][j] = _mm256_fmadd_ps(a[v], b, acc[v][j]);
     }
     bp += 6;
   }
-  if (mr == 16 && nr == 6) {
-    const __m256 av = _mm256_set1_ps(alpha);
-    for (int j = 0; j < 6; ++j) {
-      float* cj = c + static_cast<std::size_t>(j) * ldc;
-      _mm256_storeu_ps(cj,
-                       _mm256_fmadd_ps(av, acc0[j], _mm256_loadu_ps(cj)));
-      _mm256_storeu_ps(
-          cj + 8, _mm256_fmadd_ps(av, acc1[j], _mm256_loadu_ps(cj + 8)));
-    }
-    return;
-  }
-  float tmp[16 * 6];
-  for (int j = 0; j < 6; ++j) {
-    _mm256_storeu_ps(tmp + j * 16, acc0[j]);
-    _mm256_storeu_ps(tmp + j * 16 + 8, acc1[j]);
-  }
+  const __m256 av = _mm256_set1_ps(alpha);
   for (int j = 0; j < nr; ++j) {
     float* cj = c + static_cast<std::size_t>(j) * ldc;
-    for (int i = 0; i < mr; ++i)
-      cj[i] = std::fma(alpha, tmp[j * 16 + i], cj[i]);
+#pragma GCC unroll 2
+    for (int v = 0; v < NV; ++v) {
+      const int rows = mr - 8 * v;
+      float* cv = cj + 8 * v;
+      if (rows >= 8) {
+        _mm256_storeu_ps(cv, _mm256_fmadd_ps(av, acc[v][j],
+                                             _mm256_loadu_ps(cv)));
+      } else {
+        const __m256i m = avx2_mask_ps(rows);
+        _mm256_maskstore_ps(
+            cv, m,
+            _mm256_fmadd_ps(av, acc[v][j], _mm256_maskload_ps(cv, m)));
+      }
+    }
   }
+}
+
+__attribute__((target("avx2,fma"))) void kernel_avx2_f(
+    int kc, float alpha, const float* ap, const float* bp, float* c, int ldc,
+    int mr, int nr) {
+  if (mr <= 8)
+    kernel_avx2_f_nv<1>(kc, alpha, ap, bp, c, ldc, mr, nr);
+  else
+    kernel_avx2_f_nv<2>(kc, alpha, ap, bp, c, ldc, mr, nr);
 }
 
 // ------------------------------------------------------- avx512 kernel ---
 // 24x8: 24 zmm accumulators + 3 A vectors + 1 broadcast = 28 of 32 regs
-// (the BLIS Skylake shape).
+// (the BLIS Skylake shape).  An edge strip of mr <= 8 or <= 16 rows
+// accumulates one or two vectors of rows instead of three, and its
+// partial vector is written back under a lane mask.
+
+template <int NV>
+__attribute__((target("avx512f"))) void kernel_avx512_nv(
+    int kc, double alpha, const double* ap, const double* bp, double* c,
+    int ldc, int mr, int nr) {
+  __m512d acc[NV][8];
+#pragma GCC unroll 8
+  for (int j = 0; j < 8; ++j)
+#pragma GCC unroll 3
+    for (int v = 0; v < NV; ++v) acc[v][j] = _mm512_setzero_pd();
+  for (int p = 0; p < kc; ++p) {
+    __m512d a[NV];
+#pragma GCC unroll 3
+    for (int v = 0; v < NV; ++v) a[v] = _mm512_loadu_pd(ap + 8 * v);
+    ap += 24;
+#pragma GCC unroll 8
+    for (int j = 0; j < 8; ++j) {
+      const __m512d b = _mm512_set1_pd(bp[j]);
+#pragma GCC unroll 3
+      for (int v = 0; v < NV; ++v)
+        acc[v][j] = _mm512_fmadd_pd(a[v], b, acc[v][j]);
+    }
+    bp += 8;
+  }
+  const __m512d av = _mm512_set1_pd(alpha);
+  for (int j = 0; j < nr; ++j) {
+    double* cj = c + static_cast<std::size_t>(j) * ldc;
+#pragma GCC unroll 3
+    for (int v = 0; v < NV; ++v) {
+      const int rows = mr - 8 * v;
+      double* cv = cj + 8 * v;
+      if (rows >= 8) {
+        _mm512_storeu_pd(cv, _mm512_fmadd_pd(av, acc[v][j],
+                                             _mm512_loadu_pd(cv)));
+      } else {
+        const __mmask8 m = static_cast<__mmask8>((1u << rows) - 1);
+        _mm512_mask_storeu_pd(
+            cv, m,
+            _mm512_fmadd_pd(av, acc[v][j], _mm512_maskz_loadu_pd(m, cv)));
+      }
+    }
+  }
+}
 
 __attribute__((target("avx512f"))) void kernel_avx512(
     int kc, double alpha, const double* ap, const double* bp, double* c,
     int ldc, int mr, int nr) {
-  __m512d acc0[8], acc1[8], acc2[8];
-  for (int j = 0; j < 8; ++j) acc0[j] = acc1[j] = acc2[j] = _mm512_setzero_pd();
-  for (int p = 0; p < kc; ++p) {
-    const __m512d a0 = _mm512_loadu_pd(ap);
-    const __m512d a1 = _mm512_loadu_pd(ap + 8);
-    const __m512d a2 = _mm512_loadu_pd(ap + 16);
-    ap += 24;
-    for (int j = 0; j < 8; ++j) {
-      const __m512d b = _mm512_set1_pd(bp[j]);
-      acc0[j] = _mm512_fmadd_pd(a0, b, acc0[j]);
-      acc1[j] = _mm512_fmadd_pd(a1, b, acc1[j]);
-      acc2[j] = _mm512_fmadd_pd(a2, b, acc2[j]);
-    }
-    bp += 8;
-  }
-  if (mr == 24 && nr == 8) {
-    const __m512d av = _mm512_set1_pd(alpha);
-    for (int j = 0; j < 8; ++j) {
-      double* cj = c + static_cast<std::size_t>(j) * ldc;
-      _mm512_storeu_pd(cj,
-                       _mm512_fmadd_pd(av, acc0[j], _mm512_loadu_pd(cj)));
-      _mm512_storeu_pd(
-          cj + 8, _mm512_fmadd_pd(av, acc1[j], _mm512_loadu_pd(cj + 8)));
-      _mm512_storeu_pd(
-          cj + 16, _mm512_fmadd_pd(av, acc2[j], _mm512_loadu_pd(cj + 16)));
-    }
-    return;
-  }
-  double tmp[24 * 8];
-  for (int j = 0; j < 8; ++j) {
-    _mm512_storeu_pd(tmp + j * 24, acc0[j]);
-    _mm512_storeu_pd(tmp + j * 24 + 8, acc1[j]);
-    _mm512_storeu_pd(tmp + j * 24 + 16, acc2[j]);
-  }
-  for (int j = 0; j < nr; ++j) {
-    double* cj = c + static_cast<std::size_t>(j) * ldc;
-    for (int i = 0; i < mr; ++i)
-      cj[i] = std::fma(alpha, tmp[j * 24 + i], cj[i]);
-  }
+  if (mr <= 8)
+    kernel_avx512_nv<1>(kc, alpha, ap, bp, c, ldc, mr, nr);
+  else if (mr <= 16)
+    kernel_avx512_nv<2>(kc, alpha, ap, bp, c, ldc, mr, nr);
+  else
+    kernel_avx512_nv<3>(kc, alpha, ap, bp, c, ldc, mr, nr);
 }
 
 // ------------------------------------------------- avx512 float kernel ---
 // 48x8: the 24x8 double shape at doubled lanes — three zmm of 16 floats,
 // 24 accumulators + 3 A vectors + 1 broadcast = 28 of 32 regs.
 
-__attribute__((target("avx512f"))) void kernel_avx512_f(
+template <int NV>
+__attribute__((target("avx512f"))) void kernel_avx512_f_nv(
     int kc, float alpha, const float* ap, const float* bp, float* c, int ldc,
     int mr, int nr) {
-  __m512 acc0[8], acc1[8], acc2[8];
-  for (int j = 0; j < 8; ++j) acc0[j] = acc1[j] = acc2[j] = _mm512_setzero_ps();
+  __m512 acc[NV][8];
+#pragma GCC unroll 8
+  for (int j = 0; j < 8; ++j)
+#pragma GCC unroll 3
+    for (int v = 0; v < NV; ++v) acc[v][j] = _mm512_setzero_ps();
   for (int p = 0; p < kc; ++p) {
-    const __m512 a0 = _mm512_loadu_ps(ap);
-    const __m512 a1 = _mm512_loadu_ps(ap + 16);
-    const __m512 a2 = _mm512_loadu_ps(ap + 32);
+    __m512 a[NV];
+#pragma GCC unroll 3
+    for (int v = 0; v < NV; ++v) a[v] = _mm512_loadu_ps(ap + 16 * v);
     ap += 48;
+#pragma GCC unroll 8
     for (int j = 0; j < 8; ++j) {
       const __m512 b = _mm512_set1_ps(bp[j]);
-      acc0[j] = _mm512_fmadd_ps(a0, b, acc0[j]);
-      acc1[j] = _mm512_fmadd_ps(a1, b, acc1[j]);
-      acc2[j] = _mm512_fmadd_ps(a2, b, acc2[j]);
+#pragma GCC unroll 3
+      for (int v = 0; v < NV; ++v)
+        acc[v][j] = _mm512_fmadd_ps(a[v], b, acc[v][j]);
     }
     bp += 8;
   }
-  if (mr == 48 && nr == 8) {
-    const __m512 av = _mm512_set1_ps(alpha);
-    for (int j = 0; j < 8; ++j) {
-      float* cj = c + static_cast<std::size_t>(j) * ldc;
-      _mm512_storeu_ps(cj,
-                       _mm512_fmadd_ps(av, acc0[j], _mm512_loadu_ps(cj)));
-      _mm512_storeu_ps(
-          cj + 16, _mm512_fmadd_ps(av, acc1[j], _mm512_loadu_ps(cj + 16)));
-      _mm512_storeu_ps(
-          cj + 32, _mm512_fmadd_ps(av, acc2[j], _mm512_loadu_ps(cj + 32)));
-    }
-    return;
-  }
-  float tmp[48 * 8];
-  for (int j = 0; j < 8; ++j) {
-    _mm512_storeu_ps(tmp + j * 48, acc0[j]);
-    _mm512_storeu_ps(tmp + j * 48 + 16, acc1[j]);
-    _mm512_storeu_ps(tmp + j * 48 + 32, acc2[j]);
-  }
+  const __m512 av = _mm512_set1_ps(alpha);
   for (int j = 0; j < nr; ++j) {
     float* cj = c + static_cast<std::size_t>(j) * ldc;
-    for (int i = 0; i < mr; ++i)
-      cj[i] = std::fma(alpha, tmp[j * 48 + i], cj[i]);
+#pragma GCC unroll 3
+    for (int v = 0; v < NV; ++v) {
+      const int rows = mr - 16 * v;
+      float* cv = cj + 16 * v;
+      if (rows >= 16) {
+        _mm512_storeu_ps(cv, _mm512_fmadd_ps(av, acc[v][j],
+                                             _mm512_loadu_ps(cv)));
+      } else {
+        const __mmask16 m = static_cast<__mmask16>((1u << rows) - 1);
+        _mm512_mask_storeu_ps(
+            cv, m,
+            _mm512_fmadd_ps(av, acc[v][j], _mm512_maskz_loadu_ps(m, cv)));
+      }
+    }
   }
+}
+
+__attribute__((target("avx512f"))) void kernel_avx512_f(
+    int kc, float alpha, const float* ap, const float* bp, float* c, int ldc,
+    int mr, int nr) {
+  if (mr <= 16)
+    kernel_avx512_f_nv<1>(kc, alpha, ap, bp, c, ldc, mr, nr);
+  else if (mr <= 32)
+    kernel_avx512_f_nv<2>(kc, alpha, ap, bp, c, ldc, mr, nr);
+  else
+    kernel_avx512_f_nv<3>(kc, alpha, ap, bp, c, ldc, mr, nr);
+}
+
+// ---------------------------------------------- pack-free update kernels ---
+// The gemm kernels' chain with A read in place (see microkernel.h): per
+// C element, an fma chain from zero over ascending p, then one fused
+// alpha write-back — the same at either vector width, since every fma
+// rounds once.  A row block keeps all its accumulators in registers, so
+// each A column is read as one contiguous run of up to kPackFreeRows
+// rows: a whole tile-column segment at the usual tile sizes.  One right-
+// hand-side column at a time: the solves that use this have few of them,
+// and a block's A columns stay in L1 across them.
+
+/// C(i0 : i0 + rows, j) for one right-hand-side column, 8 * (NV - 1) <
+/// rows <= 8 * NV; the last vector of rows is masked.
+template <int NV>
+__attribute__((target("avx512f"))) void pack_free_rows_avx512(
+    int rows, int kc, double alpha, const double* const* acols, int i0,
+    const double* bj, double* ci) {
+  const __mmask8 last =
+      static_cast<__mmask8>((1u << (rows - 8 * (NV - 1))) - 1);
+  __m512d acc[NV];
+#pragma GCC unroll 16
+  for (int v = 0; v < NV; ++v) acc[v] = _mm512_setzero_pd();
+  for (int p = 0; p < kc; ++p) {
+    const double* ap = acols[p] + i0;
+    const __m512d bv = _mm512_set1_pd(bj[p]);
+#pragma GCC unroll 16
+    for (int v = 0; v + 1 < NV; ++v)
+      acc[v] = _mm512_fmadd_pd(_mm512_loadu_pd(ap + 8 * v), bv, acc[v]);
+    acc[NV - 1] = _mm512_fmadd_pd(
+        _mm512_maskz_loadu_pd(last, ap + 8 * (NV - 1)), bv, acc[NV - 1]);
+  }
+  const __m512d av = _mm512_set1_pd(alpha);
+#pragma GCC unroll 16
+  for (int v = 0; v + 1 < NV; ++v)
+    _mm512_storeu_pd(ci + 8 * v, _mm512_fmadd_pd(av, acc[v],
+                                                 _mm512_loadu_pd(ci + 8 * v)));
+  double* cl = ci + 8 * (NV - 1);
+  _mm512_mask_storeu_pd(
+      cl, last,
+      _mm512_fmadd_pd(av, acc[NV - 1], _mm512_maskz_loadu_pd(last, cl)));
+}
+
+/// The avx2 twin: 4-wide, at most 8 accumulators (16 ymm registers).
+template <int NV>
+__attribute__((target("avx2,fma"))) void pack_free_rows_avx2(
+    int rows, int kc, double alpha, const double* const* acols, int i0,
+    const double* bj, double* ci) {
+  const __m256i last = avx2_mask_pd(rows - 4 * (NV - 1));
+  __m256d acc[NV];
+#pragma GCC unroll 8
+  for (int v = 0; v < NV; ++v) acc[v] = _mm256_setzero_pd();
+  for (int p = 0; p < kc; ++p) {
+    const double* ap = acols[p] + i0;
+    const __m256d bv = _mm256_set1_pd(bj[p]);
+#pragma GCC unroll 8
+    for (int v = 0; v + 1 < NV; ++v)
+      acc[v] = _mm256_fmadd_pd(_mm256_loadu_pd(ap + 4 * v), bv, acc[v]);
+    acc[NV - 1] = _mm256_fmadd_pd(
+        _mm256_maskload_pd(ap + 4 * (NV - 1), last), bv, acc[NV - 1]);
+  }
+  const __m256d av = _mm256_set1_pd(alpha);
+#pragma GCC unroll 8
+  for (int v = 0; v + 1 < NV; ++v)
+    _mm256_storeu_pd(ci + 4 * v, _mm256_fmadd_pd(av, acc[v],
+                                                 _mm256_loadu_pd(ci + 4 * v)));
+  double* cl = ci + 4 * (NV - 1);
+  _mm256_maskstore_pd(
+      cl, last,
+      _mm256_fmadd_pd(av, acc[NV - 1], _mm256_maskload_pd(cl, last)));
+}
+
+using PackFreeRowsFn = void (*)(int, int, double, const double* const*, int,
+                                const double*, double*);
+
+template <std::size_t... NV>
+constexpr std::array<PackFreeRowsFn, sizeof...(NV)> avx512_rows(
+    std::index_sequence<NV...>) {
+  return {pack_free_rows_avx512<static_cast<int>(NV) + 1>...};
+}
+
+template <std::size_t... NV>
+constexpr std::array<PackFreeRowsFn, sizeof...(NV)> avx2_rows(
+    std::index_sequence<NV...>) {
+  return {pack_free_rows_avx2<static_cast<int>(NV) + 1>...};
+}
+
+/// Sweeps C column by column in row blocks of up to `lanes` * rows_fns
+/// rows, each through the instantiation sized for it.
+template <std::size_t N>
+void pack_free_sweep(const std::array<PackFreeRowsFn, N>& rows_fns,
+                     int lanes, int m, int n, int kc, double alpha,
+                     const double* const* acols, const double* b, int ldb,
+                     double* c, int ldc) {
+  const int block = lanes * static_cast<int>(N);
+  for (int j = 0; j < n; ++j) {
+    const double* bj = b + static_cast<std::size_t>(j) * ldb;
+    double* cj = c + static_cast<std::size_t>(j) * ldc;
+    for (int i = 0; i < m; i += block) {
+      const int rows = std::min(block, m - i);
+      rows_fns[(rows + lanes - 1) / lanes - 1](rows, kc, alpha, acols, i, bj,
+                                               cj + i);
+    }
+  }
+}
+
+void pack_free_avx512(int m, int n, int kc, double alpha,
+                      const double* const* acols, const double* b, int ldb,
+                      double* c, int ldc) {
+  static constexpr auto fns = avx512_rows(std::make_index_sequence<16>{});
+  pack_free_sweep(fns, 8, m, n, kc, alpha, acols, b, ldb, c, ldc);
+}
+
+void pack_free_avx2(int m, int n, int kc, double alpha,
+                    const double* const* acols, const double* b, int ldb,
+                    double* c, int ldc) {
+  static constexpr auto fns = avx2_rows(std::make_index_sequence<8>{});
+  pack_free_sweep(fns, 4, m, n, kc, alpha, acols, b, ldb, c, ldc);
 }
 
 #endif  // CALU_X86
@@ -534,6 +743,7 @@ std::vector<MicroKernel> build_table() {
     k.iamax = panelk::iamax_avx512;
     k.trsm_leaf_left = trsm_leaf_left_avx512;
     k.trsm_leaf_right = trsm_leaf_right_avx512;
+    k.pack_free = pack_free_avx512;
     derive_blocking(k, ci);
     t.push_back(k);
   }
@@ -548,6 +758,7 @@ std::vector<MicroKernel> build_table() {
     k.iamax = panelk::iamax_avx2;
     k.trsm_leaf_left = trsm_leaf_left_avx2;
     k.trsm_leaf_right = trsm_leaf_right_avx2;
+    k.pack_free = pack_free_avx2;
     derive_blocking(k, ci);
     t.push_back(k);
   }
@@ -562,6 +773,7 @@ std::vector<MicroKernel> build_table() {
   k.iamax = panelk::iamax_c<double>;
   k.trsm_leaf_left = trsm_leaf_left_c<double>;
   k.trsm_leaf_right = trsm_leaf_right_c<double>;
+  k.pack_free = pack_free_c<double>;
   derive_blocking(k, ci);
   t.push_back(k);
   return t;

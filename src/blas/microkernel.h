@@ -30,7 +30,8 @@
 // edge or the full write-back path ran.  That is what makes "pack once per
 // panel" vs "pack per task" bit-identical, and it is enforced by using
 // fused multiply-adds in both the vector and the edge write-back of the
-// SIMD kernels.
+// SIMD kernels.  An edge strip accumulates only the vectors that hold its
+// rows, which changes no element's chain.
 #pragma once
 
 #include <string>
@@ -114,6 +115,25 @@ using TrsmLeafRightFnT = void (*)(int m, int kb, const T* inv, T* b,
                                   int ldb);
 using TrsmLeafRightFn = TrsmLeafRightFnT<double>;
 
+// --- pack-free update kernel --------------------------------------------
+//
+// The narrow-RHS solves (blas::getrs_tiles) multiply an L or U block by a
+// few right-hand-side columns.  Packing the block for that, as gemm does,
+// costs as much as the multiply, so this kernel reads A in place.  Its
+// contract is gemm's: every C element goes through exactly the chain
+// `fn` gives it over the same kc-deep block (accumulate from zero in
+// ascending p, then one alpha write-back), so the result equals
+// gemm_packed over the same rows bit for bit, for any m.
+
+/// C(0:m, 0:n) += alpha * A * B over one kc-deep block (kc <= the
+/// kernel's kc).  acols[p] points at the m contiguous values of A's
+/// column p; B is column-major, b[p + j * ldb].  Double tables only: the
+/// float solves keep the packed path.
+template <class T>
+using PackFreeFnT = void (*)(int m, int n, int kc, T alpha,
+                             const T* const* acols, const T* b, int ldb,
+                             T* c, int ldc);
+
 template <class T>
 struct MicroKernelT {
   const char* name = "generic";
@@ -125,6 +145,7 @@ struct MicroKernelT {
   IamaxFnT<T> iamax = nullptr;
   TrsmLeafLeftFnT<T> trsm_leaf_left = nullptr;
   TrsmLeafRightFnT<T> trsm_leaf_right = nullptr;
+  PackFreeFnT<T> pack_free = nullptr;  // double tables only
 };
 using MicroKernel = MicroKernelT<double>;
 

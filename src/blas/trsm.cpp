@@ -21,6 +21,9 @@
 //   Narrow B (getrs-style solves): substitution over kTrsmBlock-wide
 //   packed diagonal blocks, off-diagonal gemm — nothing amortizes an
 //   inversion, and the pre-overhaul behavior is preserved exactly.
+//   getrs_tiles replays this path's Left/Lower and Left/Upper block loops
+//   on factors seen through a tile view, with gemm_cols in place of gemm,
+//   so it gives the same bits without packing or unpacking anything.
 //
 // All four (side, uplo) combinations take the fast path for Trans::No,
 // plus the two transposed cases Cholesky leans on (Right/Lower and
@@ -44,7 +47,6 @@ namespace {
 
 constexpr int kNB = kTrsmBlock;  // substitution-path diagonal block width
 constexpr int kInvNB = kTrsmLeafNB;  // width of the inverted leaf blocks
-constexpr int kInvMinRhs = 32;   // fewest RHS that pay for the gemm recast
 
 // Couplings with inner dimension <= kSmallK sit below gemm's blocked-path
 // profitability threshold (it would take its naive scalar shortcut);
@@ -488,7 +490,89 @@ void trsm_impl(Side side, UpLo uplo, Trans trans, Diag diag, int m, int n,
   }
 }
 
+// ------------------------------------------------- tile-view getrs ---
+
+// dst[0 : r1 - r0) := column j, rows [r0, r1), of the view.
+void gather_col(const TileView& v, int r0, int r1, int j, double* dst) {
+  for (int i = r0; i < r1;) {
+    const int e = std::min(r1, i + v.run(i));
+    std::memcpy(dst + (i - r0), v.at(i, j), sizeof(double) * (e - i));
+    i = e;
+  }
+}
+
+// The nb x nb diagonal block at (i0, i0) gathered into the trsm scratch
+// (ld = nb), exactly the triangle pack_diag copies.
+const double* gather_diag(const TileView& v, int i0, int nb, UpLo uplo) {
+  util::AlignedBufferT<double>& scratch = tl_diag<double>();
+  scratch.reserve(static_cast<std::size_t>(kNB) * kNB);
+  double* buf = scratch.data();
+  for (int j = 0; j < nb; ++j) {
+    double* col = buf + static_cast<std::size_t>(j) * nb;
+    if (uplo == UpLo::Lower)  // Unit: strictly below the diagonal
+      gather_col(v, i0 + j + 1, i0 + nb, i0 + j, col + j + 1);
+    else  // NonUnit: down to the diagonal
+      gather_col(v, i0, i0 + j + 1, i0 + j, col);
+  }
+  return buf;
+}
+
+// B(r0:r1, :) -= A(r0:r1, c0:c0+kb) * B(c0:c0+kb, :) as rows of the
+// gemm_m-row gemm trsm's substitution path issues for this block, split
+// by rows with `split` and cut at tile rows so each piece reads A
+// through column pointers.
+void update_rows(const TileView& v, int r0, int r1, int c0, int kb, int nrhs,
+                 double* b, int ldb, const RowSplit& split) {
+  const int gemm_m = r1 - r0;
+  const auto part = [&](int p0, int p1) {
+    const double* acols[kNB];
+    for (int i = r0 + p0; i < r0 + p1;) {
+      const int e = std::min(r0 + p1, i + v.run(i));
+      for (int q = 0; q < kb; ++q) acols[q] = v.at(i, c0 + q);
+      gemm_cols(gemm_m, e - i, nrhs, kb, -1.0, acols, b + c0, ldb, b + i,
+                ldb);
+      i = e;
+    }
+  };
+  if (split)
+    split(gemm_m, part);
+  else
+    part(0, gemm_m);
+}
+
 }  // namespace
+
+TileView TileView::column_major(int n, const double* a, int lda) {
+  TileView v;
+  v.n = n;
+  v.b = std::max(n, 1);
+  v.tile = {a};
+  v.ld = {lda};
+  return v;
+}
+
+void getrs_tiles(const TileView& lu, const int* ipiv, int nrhs, double* b,
+                 int ldb, const RowSplit& split) {
+  assert(nrhs < kInvMinRhs);
+  const int n = lu.n;
+  if (n == 0 || nrhs == 0) return;
+  laswp(nrhs, b, ldb, 0, n, ipiv);
+  // The block loops of trsm_impl's Left/Lower and Left/Upper branches.
+  for (int i = 0; i < n; i += kNB) {
+    const int ib = std::min(kNB, n - i);
+    left_lower_unblocked(Diag::Unit, ib, nrhs,
+                         gather_diag(lu, i, ib, UpLo::Lower), ib, b + i, ldb);
+    if (i + ib < n) update_rows(lu, i + ib, n, i, ib, nrhs, b, ldb, split);
+  }
+  for (int i = n; i > 0; i -= kNB) {
+    const int ib = std::min(kNB, i);
+    const int i0 = i - ib;
+    left_upper_unblocked(Diag::NonUnit, ib, nrhs,
+                         gather_diag(lu, i0, ib, UpLo::Upper), ib, b + i0,
+                         ldb);
+    if (i0 > 0) update_rows(lu, 0, i0, i0, ib, nrhs, b, ldb, split);
+  }
+}
 
 void trsm(Side side, UpLo uplo, Trans trans, Diag diag, int m, int n,
           double alpha, const double* t, int ldt, double* b, int ldb) {

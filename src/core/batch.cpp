@@ -70,7 +70,7 @@ BatchRunResult run_sequential(std::vector<BatchJob>& jobs,
 
 /// Fused mode: prepare every job through the same GetrfJob seam getrf
 /// uses, merge all graphs into one engine run via Session::run_fused,
-/// then run each job's epilogue (left swaps, unpack, solve + refinement).
+/// then run each job's epilogue (left swaps, solve + refinement or unpack).
 /// Small double jobs that job parallelism alone can spread over the team
 /// run whole instead: one task each in the same engine run (see below).
 BatchRunResult run_fused(std::vector<BatchJob>& jobs,
@@ -140,9 +140,9 @@ BatchRunResult run_fused(std::vector<BatchJob>& jobs,
 
   // Prepare the tile-level jobs: per-job pack + plan with that job's own
   // Options.  Every job packs straight from its A (rhs jobs never write
-  // it: their factors go to a separate LU workspace at unpack time,
-  // gesv-style).  Whole jobs pack and plan in their own task; here they
-  // only get Options with grid and dratio resolved on the caller, since
+  // it: they solve on the packed factors, gesv-style).  Whole jobs pack
+  // and plan in their own task; here they only get Options with grid and
+  // dratio resolved on the caller, since
   // a tuner lookup, or the pinned worker's one-cpu mask, must not decide
   // them inside the engine.  GetrfJob keeps a reference to its
   // PackedMatrix element, so both vectors are sized up front.
@@ -170,11 +170,13 @@ BatchRunResult run_fused(std::vector<BatchJob>& jobs,
     prepared[i].emplace(packed[i], o);
   }
 
-  // Epilogue, per job: deferred left swaps, unpack, and for rhs jobs the
-  // same solve_factored() refinement gesv runs — bit-identity with the
-  // sequential path is shared code, not a re-implementation.  `team` is
-  // the session team for a job run from the caller, and null for a job
-  // whose whole epilogue runs on the one team thread that picked it up.
+  // Epilogue, per job: deferred left swaps, then for rhs jobs the same
+  // solve_factored() refinement gesv runs, on the packed factors (double)
+  // or on unpacked ones (float32, whose refinement reads the LU); getrf
+  // jobs unpack into their A.  Bit-identity with the sequential path is
+  // shared code, not a re-implementation.  `team` is the session team for
+  // a job run from the caller, and null for a job whose whole epilogue
+  // runs on the one team thread that picked it up.
   const auto epilogue = [&](std::size_t i, sched::ThreadTeam* team) {
     BatchJob& job = jobs[i];
     BatchJobResult& out = res.jobs[i];
@@ -184,8 +186,6 @@ BatchRunResult run_fused(std::vector<BatchJob>& jobs,
     // unpack_factors stays on the calling thread whatever team it gets.
     sched::ThreadTeam& unpack_team = session.team();
     if (job.rhs != nullptr) {
-      layout::Matrix lu;
-      unpack_factors(packed[i], lu, job.options, unpack_team);
       SolveResult sr;
       sr.factorization = std::move(out.factorization);
       if (job.options.precision == Precision::Float32) {
@@ -193,9 +193,11 @@ BatchRunResult run_fused(std::vector<BatchJob>& jobs,
         // result — fused attribution included — is replaced by the
         // double re-solve's stats: the factors the caller gets really
         // did come from that run, not the fused one.
+        layout::Matrix lu;
+        unpack_factors(packed[i], lu, job.options, unpack_team);
         refine_mixed(*job.a, *job.rhs, lu, job.options, session, sr);
       } else {
-        solve_factored(*job.a, *job.rhs, lu, sr.factorization.ipiv,
+        solve_factored(*job.a, *job.rhs, packed[i], sr.factorization.ipiv,
                        job.options.max_refine, sr, 0.0, team);
       }
       out.factorization = std::move(sr.factorization);

@@ -604,17 +604,21 @@ void unpack_factors(const layout::PackedMatrix& p, layout::Matrix& lu,
   p.unpack(lu, spread ? owner_runner_from(opt, team) : layout::OwnerRunner{});
 }
 
-Factorization getrf(const layout::Matrix& a, layout::Matrix& lu,
-                    const Options& opt_in, sched::Session& session) {
-  // The Matrix-level driver owns the packing, so it is the one place the
+layout::PackedMatrix pack_for(const layout::Matrix& a, Options& opt,
+                              sched::Session& session) {
+  // The Matrix-level drivers own the packing, so this is the one place the
   // tuned tile size can be applied: materialize it into `b` before the
   // pack (GetrfJob's b-match contract then holds by construction).
-  Options opt =
-      with_tune_key(with_session_threads(opt_in, session), a.rows(), a.cols());
+  opt = with_tune_key(with_session_threads(opt, session), a.rows(), a.cols());
   opt.b = opt.resolved_b();
-  layout::PackedMatrix p =
-      layout::PackedMatrix::pack(a, opt.layout, opt.b, opt.resolved_grid(),
-                                 owner_runner_from(opt, session.team()));
+  return layout::PackedMatrix::pack(a, opt.layout, opt.b, opt.resolved_grid(),
+                                    owner_runner_from(opt, session.team()));
+}
+
+Factorization getrf(const layout::Matrix& a, layout::Matrix& lu,
+                    const Options& opt_in, sched::Session& session) {
+  Options opt = opt_in;
+  layout::PackedMatrix p = pack_for(a, opt, session);
   Factorization f = getrf(p, opt, session);
   unpack_factors(p, lu, opt, session.team());
   return f;

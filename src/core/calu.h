@@ -231,6 +231,14 @@ Factorization getrf(layout::Matrix& a, const Options& opt);
 Factorization getrf(layout::Matrix& a, const Options& opt,
                     sched::Session& session);
 
+/// The Matrix-level drivers' pack: stamps `opt` with the session's
+/// thread count, the tune key and the resolved tile size (opt.b), then
+/// packs `a` (only read) into opt.layout on the session team, each owner's
+/// tiles first-touched by the thread that will factor them.  `opt` is
+/// then the Options to factor the result with.
+layout::PackedMatrix pack_for(const layout::Matrix& a, Options& opt,
+                              sched::Session& session);
+
 /// Out-of-place column-major driver: packs straight from `a` (only
 /// read — no defensive copy), factors, and unpacks the combined L and U
 /// factors into `lu` through unpack_factors().  `lu` may be `a` itself,

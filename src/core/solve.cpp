@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <functional>
 #include <limits>
 #include <vector>
 
@@ -10,18 +11,110 @@
 
 namespace calu::core {
 
+namespace {
+
+/// Fewest rows per thread for which an off-diagonal solve update is
+/// split: a smaller share costs more in team dispatch than it saves.
+constexpr int kSplitMinRows = 128;
+
+/// The row split of the narrow solve's updates: over `team` when the
+/// factors (`lu_bytes`) are above the team_share() floor, with at least
+/// kSplitMinRows rows per part, in chunks of whole cache lines of b;
+/// empty (serial) otherwise.  Each row's chain is local to the row, so
+/// every split gives the serial bits.
+blas::RowSplit row_split(std::size_t lu_bytes, sched::ThreadTeam* team) {
+  const int nt = team != nullptr ? team_share(lu_bytes, team->size()) : 1;
+  if (nt <= 1) return {};
+  return [team, nt](int rows, const std::function<void(int, int)>& part) {
+    const int parts = std::min(nt, rows / kSplitMinRows);
+    if (parts <= 1) {
+      part(0, rows);
+      return;
+    }
+    const int chunk = ((rows + parts - 1) / parts + 7) / 8 * 8;
+    team->run([&](int tid) {
+      const int r0 = std::min(rows, tid * chunk);
+      const int r1 = std::min(rows, r0 + chunk);
+      if (r0 < r1) part(r0, r1);
+    });
+  };
+}
+
+std::size_t lu_bytes(int n) {
+  return sizeof(double) * static_cast<std::size_t>(n) *
+         static_cast<std::size_t>(n);
+}
+
+/// The packed factors as a tile view: one entry per tile, whatever the
+/// layout.
+blas::TileView tile_view(const layout::PackedMatrix& p) {
+  const layout::Tiling& t = p.tiling();
+  assert(t.m == t.n);
+  blas::TileView v;
+  v.n = t.n;
+  v.b = t.b;
+  v.mb = t.mb();
+  const std::size_t tiles = static_cast<std::size_t>(t.mb()) * t.nb();
+  v.tile.resize(tiles);
+  v.ld.resize(tiles);
+  for (int J = 0; J < t.nb(); ++J)
+    for (int I = 0; I < t.mb(); ++I) {
+      const layout::BlockRef blk = p.block(I, J);
+      v.tile[I + static_cast<std::size_t>(J) * t.mb()] = blk.ptr;
+      v.ld[I + static_cast<std::size_t>(J) * t.mb()] = blk.ld;
+    }
+  return v;
+}
+
+blas::TileView column_major_view(const layout::Matrix& lu) {
+  assert(lu.rows() == lu.cols());
+  return blas::TileView::column_major(lu.rows(), lu.data(), lu.ld());
+}
+
+/// The packed factors unpacked into a fresh column-major workspace, owner-
+/// parallel on `team` above the team_share() floor — for the wide right-
+/// hand sides only: trsm's gemm recast reads column-major factors.
+layout::Matrix unpacked(const layout::PackedMatrix& lu,
+                        sched::ThreadTeam* team) {
+  const int n = lu.tiling().n;
+  layout::Matrix cm = layout::Matrix::uninitialized(n, n);
+  const bool spread =
+      team != nullptr && team_share(lu_bytes(n), team->size()) > 1;
+  lu.unpack(cm, spread ? owner_runner_from(Options{}, *team)
+                       : layout::OwnerRunner{});
+  return cm;
+}
+
+}  // namespace
+
 void getrs(const layout::Matrix& lu, util::Span<const int> ipiv,
-           layout::Matrix& b) {
+           layout::Matrix& b, sched::ThreadTeam* team) {
   const int n = lu.cols();
-  assert(lu.rows() == n && b.rows() == n);
-  blas::laswp(b.cols(), b.data(), b.ld(), 0, static_cast<int>(ipiv.size()),
-              ipiv.data());
+  assert(b.rows() == n && static_cast<int>(ipiv.size()) == n);
+  if (b.cols() < blas::kInvMinRhs) {
+    blas::getrs_tiles(column_major_view(lu), ipiv.data(), b.cols(), b.data(),
+                      b.ld(), row_split(lu_bytes(n), team));
+    return;
+  }
+  blas::laswp(b.cols(), b.data(), b.ld(), 0, n, ipiv.data());
   blas::trsm(blas::Side::Left, blas::UpLo::Lower, blas::Trans::No,
              blas::Diag::Unit, n, b.cols(), 1.0, lu.data(), lu.ld(), b.data(),
              b.ld());
   blas::trsm(blas::Side::Left, blas::UpLo::Upper, blas::Trans::No,
              blas::Diag::NonUnit, n, b.cols(), 1.0, lu.data(), lu.ld(),
              b.data(), b.ld());
+}
+
+void getrs(const layout::PackedMatrix& lu, util::Span<const int> ipiv,
+           layout::Matrix& b, sched::ThreadTeam* team) {
+  const int n = lu.tiling().n;
+  assert(b.rows() == n && static_cast<int>(ipiv.size()) == n);
+  if (b.cols() >= blas::kInvMinRhs) {
+    getrs(unpacked(lu, team), ipiv, b, team);
+    return;
+  }
+  blas::getrs_tiles(tile_view(lu), ipiv.data(), b.cols(), b.data(), b.ld(),
+                    row_split(lu_bytes(n), team));
 }
 
 namespace {
@@ -121,12 +214,15 @@ double solve_residual(const layout::Matrix& a, const layout::Matrix& x,
   return normalized_residual(r, norm_a, x, b);
 }
 
-void solve_factored(const layout::Matrix& a, const layout::Matrix& b,
-                    const layout::Matrix& lu, util::Span<const int> ipiv,
-                    int max_refine, SolveResult& res, double stall_ratio,
-                    sched::ThreadTeam* team) {
+namespace {
+
+/// solve_factored with `solve(x)` overwriting x with (LU)^{-1} P x.
+void solve_and_refine(const layout::Matrix& a, const layout::Matrix& b,
+                      const std::function<void(layout::Matrix&)>& solve,
+                      int max_refine, SolveResult& res, double stall_ratio,
+                      sched::ThreadTeam* team) {
   res.x = b;
-  getrs(lu, ipiv, res.x);
+  solve(res.x);
   // r = b - A x, kept across steps: the residual that scores x is also
   // the right-hand side of the next correction.  ||A||_inf is x-free, so
   // it is taken once, in the same pass as the first residual.
@@ -139,7 +235,7 @@ void solve_factored(const layout::Matrix& a, const layout::Matrix& b,
     if (stall_ratio > 0.0 && !std::isfinite(res.residual)) break;
     const double prev = res.residual;
     // Solve A d = r; x += d.
-    getrs(lu, ipiv, r);
+    solve(r);
     for (int j = 0; j < res.x.cols(); ++j)
       for (int i = 0; i < res.x.rows(); ++i) res.x(i, j) += r(i, j);
     ++res.refine_steps;
@@ -149,6 +245,36 @@ void solve_factored(const layout::Matrix& a, const layout::Matrix& b,
     // a fixed-point iteration with constant contraction rate): stop here.
     if (stall_ratio > 0.0 && !(res.residual < stall_ratio * prev)) break;
   }
+}
+
+}  // namespace
+
+void solve_factored(const layout::Matrix& a, const layout::Matrix& b,
+                    const layout::Matrix& lu, util::Span<const int> ipiv,
+                    int max_refine, SolveResult& res, double stall_ratio,
+                    sched::ThreadTeam* team) {
+  solve_and_refine(
+      a, b, [&](layout::Matrix& x) { getrs(lu, ipiv, x, team); }, max_refine,
+      res, stall_ratio, team);
+}
+
+void solve_factored(const layout::Matrix& a, const layout::Matrix& b,
+                    const layout::PackedMatrix& lu, util::Span<const int> ipiv,
+                    int max_refine, SolveResult& res, double stall_ratio,
+                    sched::ThreadTeam* team) {
+  if (b.cols() >= blas::kInvMinRhs) {
+    solve_factored(a, b, unpacked(lu, team), ipiv, max_refine, res,
+                   stall_ratio, team);
+    return;
+  }
+  const blas::TileView v = tile_view(lu);
+  const blas::RowSplit split = row_split(lu_bytes(v.n), team);
+  solve_and_refine(
+      a, b,
+      [&](layout::Matrix& x) {
+        blas::getrs_tiles(v, ipiv.data(), x.cols(), x.data(), x.ld(), split);
+      },
+      max_refine, res, stall_ratio, team);
 }
 
 namespace {
@@ -229,12 +355,13 @@ SolveResult gesv(const layout::Matrix& a, const layout::Matrix& b,
 }
 
 SolveResult gesv(const layout::Matrix& a, const layout::Matrix& b,
-                 const Options& opt, sched::Session& session) {
+                 const Options& opt_in, sched::Session& session) {
   assert(a.rows() == a.cols() && a.rows() == b.rows());
   SolveResult res;
-  layout::Matrix lu;
-  res.factorization = getrf(a, lu, opt, session);
-  solve_factored(a, b, lu, res.factorization.ipiv, opt.max_refine, res, 0.0,
+  Options opt = opt_in;
+  layout::PackedMatrix p = pack_for(a, opt, session);
+  res.factorization = getrf(p, opt, session);
+  solve_factored(a, b, p, res.factorization.ipiv, opt.max_refine, res, 0.0,
                  &session.team());
   return res;
 }

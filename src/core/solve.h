@@ -12,9 +12,21 @@ namespace calu::core {
 
 /// Solve op(A) X = B in place given a LAPACK-style packed L/U
 /// factorization `lu` and absolute-row swap sequence `ipiv` (getrs
-/// semantics, NoTrans).
+/// semantics, NoTrans).  Fewer than blas::kInvMinRhs right-hand sides
+/// take blas::getrs_tiles on a column-major view, wider ones trsm's gemm
+/// recast; either way B gets the bits of laswp + the two trsm calls.
+/// With `team` given and the factors above the team_share() floor, the
+/// narrow solve's off-diagonal updates split by rows over the team, with
+/// the same bits.
 void getrs(const layout::Matrix& lu, util::Span<const int> ipiv,
-           layout::Matrix& b);
+           layout::Matrix& b, sched::ThreadTeam* team = nullptr);
+
+/// getrs straight on factored packed tiles (any layout, after
+/// GetrfJob::finish()): the same bits as getrs on the unpacked factors.
+/// Below blas::kInvMinRhs right-hand sides the tiles are read in place;
+/// wider B unpacks them into a column-major workspace first.
+void getrs(const layout::PackedMatrix& lu, util::Span<const int> ipiv,
+           layout::Matrix& b, sched::ThreadTeam* team = nullptr);
 
 /// Componentwise-normalized residual ||A x - b||_inf /
 /// (||A||_inf ||x||_inf + ||b||_inf) — the standard backward-error metric.
@@ -58,10 +70,27 @@ struct SolveResult {
 /// with separately rounded multiplies and subtracts (no FMA contraction),
 /// so a row's bits do not depend on the split: with or without a team,
 /// at any team size, x and the residual are bit-identical.
+///
+/// The solves split the same way: above the floor, the off-diagonal
+/// updates of a narrow solve (blas::getrs_tiles) run by rows over the
+/// team, and each row's chain is local to the row, so they too give the
+/// serial bits.
 void solve_factored(const layout::Matrix& a, const layout::Matrix& b,
                     const layout::Matrix& lu, util::Span<const int> ipiv,
                     int max_refine, SolveResult& res,
                     double stall_ratio = 0.0,
+                    sched::ThreadTeam* team = nullptr);
+
+/// solve_factored straight on the factored PackedMatrix (any layout),
+/// after GetrfJob::finish(): with fewer than blas::kInvMinRhs right-hand
+/// sides the solves read the tiles in place — no unpack, no n x n
+/// workspace.  Wider ones unpack into a column-major workspace first.
+/// x, the residual and the refinement steps are bit-identical to the
+/// column-major overload on the unpacked factors.
+void solve_factored(const layout::Matrix& a, const layout::Matrix& b,
+                    const layout::PackedMatrix& lu,
+                    util::Span<const int> ipiv, int max_refine,
+                    SolveResult& res, double stall_ratio = 0.0,
                     sched::ThreadTeam* team = nullptr);
 
 /// Factor with CALU (per `opt`) and solve A x = b with up to
@@ -69,16 +98,17 @@ void solve_factored(const layout::Matrix& a, const layout::Matrix& b,
 /// One-shot: spawns an ephemeral session (thread team) for the call.
 ///
 /// Data flow (no copy of A; A and b are only read):
-///   1. pack      A -> PackedMatrix, owner-parallel first touch;
+///   1. pack      A -> PackedMatrix (pack_for), owner-parallel first touch;
 ///   2. factor    the CALU DAG on the session team, then the left swaps;
-///   3. unpack    packed factors -> a fresh, never zero-filled LU
-///                workspace, owner-parallel above the team_share() floor;
-///   4. solve     getrs, then solve_factored's one-pass residual (and
-///                refinement) split by rows over the team above the floor.
-/// Every step writes the same bits at any team size, so x equals the
-/// serial sequence pack -> GetrfJob -> run -> finish -> unpack ->
-/// solve_factored(no team) bit for bit.  Peak residency is A + packed +
-/// LU: the workspace is allocated only once the factorization is done.
+///   3. solve     solve_factored on the packed factors: the narrow getrs
+///                reads the tiles in place, its off-diagonal updates and
+///                the one-pass residual (and refinement) split by rows
+///                over the team above the team_share() floor.
+/// Every step writes the same bits at any team size, and the packed
+/// solve writes the bits of getrs on the unpacked factors, so x equals
+/// the serial sequence pack -> GetrfJob -> run -> finish -> unpack ->
+/// solve_factored(no team) bit for bit.  Peak residency is A + packed:
+/// below blas::kInvMinRhs right-hand sides there is no LU workspace.
 SolveResult gesv(const layout::Matrix& a, const layout::Matrix& b,
                  const Options& opt);
 

@@ -33,23 +33,6 @@ std::vector<T>& tl_scratch() {
   return scratch;
 }
 
-template <class T>
-void tournament_select_impl(int rows, int width, T* w, int ldw, int* src) {
-  std::vector<T>& scratch = tl_scratch<T>();
-  scratch.resize(static_cast<std::size_t>(rows) * width);
-  for (int j = 0; j < width; ++j)
-    std::copy_n(w + static_cast<std::size_t>(j) * ldw, rows,
-                scratch.data() + static_cast<std::size_t>(j) * rows);
-  // Replay the pivot swaps on the original values and the origin ids.
-  const std::vector<int>& ipiv = factor_pivots(rows, width, scratch.data());
-  for (int i = 0; i < static_cast<int>(ipiv.size()); ++i) {
-    const int p = ipiv[i];
-    if (p == i) continue;
-    blas::swap_rows(width, w, ldw, i, p);
-    std::swap(src[i], src[p]);
-  }
-}
-
 /// Factors the gathered (rows x width) block `lu` (ld = rows) and returns
 /// the gathered row index of each of the min(rows, width) winners, in
 /// pivot order: the swap sequence applied to an index vector instead of
@@ -77,14 +60,6 @@ CandidatesT<T> make_candidates(int keep, int width) {
 }
 
 }  // namespace
-
-void tournament_select(int rows, int width, double* w, int ldw, int* src) {
-  tournament_select_impl(rows, width, w, ldw, src);
-}
-
-void tournament_select(int rows, int width, float* w, int ldw, int* src) {
-  tournament_select_impl(rows, width, w, ldw, src);
-}
 
 template <class T>
 CandidatesT<T> tslu_leaf(const layout::PackedMatrixT<T>& a, int kcol,
@@ -196,56 +171,6 @@ std::vector<int> build_swap_list(const std::vector<int>& winners, int row0,
     widx[i] = i;
     cur[i] = p1;
   }
-  return swaps;
-}
-
-std::vector<int> tslu_factor(layout::Matrix& panel, int nchunks) {
-  const int m = panel.rows();
-  const int n = panel.cols();
-  assert(m >= 1 && n >= 1);
-  nchunks = std::clamp(nchunks, 1, m);
-
-  // Leaves over contiguous row chunks.
-  std::vector<Candidates> nodes;
-  nodes.reserve(nchunks);
-  for (int c = 0; c < nchunks; ++c) {
-    const int lo = static_cast<int>(static_cast<long long>(m) * c / nchunks);
-    const int hi =
-        static_cast<int>(static_cast<long long>(m) * (c + 1) / nchunks);
-    if (hi <= lo) continue;
-    const int rows = hi - lo;
-    Candidates leaf;
-    leaf.width = n;
-    std::vector<double> w(static_cast<std::size_t>(rows) * n);
-    std::vector<int> src(rows);
-    for (int j = 0; j < n; ++j)
-      std::copy_n(panel.data() + lo + static_cast<std::size_t>(j) * panel.ld(),
-                  rows, w.data() + static_cast<std::size_t>(j) * rows);
-    for (int i = 0; i < rows; ++i) src[i] = lo + i;
-    tournament_select(rows, n, w.data(), rows, src.data());
-    const int keep = std::min(rows, n);
-    leaf.count = keep;
-    leaf.vals.resize(static_cast<std::size_t>(keep) * n);
-    leaf.src.assign(src.begin(), src.begin() + keep);
-    for (int j = 0; j < n; ++j)
-      std::copy_n(w.data() + static_cast<std::size_t>(j) * rows, keep,
-                  leaf.vals.data() + static_cast<std::size_t>(j) * keep);
-    nodes.push_back(std::move(leaf));
-  }
-  // Binary-tree reduction.
-  while (nodes.size() > 1) {
-    std::vector<Candidates> next;
-    next.reserve((nodes.size() + 1) / 2);
-    for (std::size_t i = 0; i + 1 < nodes.size(); i += 2)
-      next.push_back(tslu_merge(nodes[i], nodes[i + 1]));
-    if (nodes.size() % 2 == 1) next.push_back(std::move(nodes.back()));
-    nodes = std::move(next);
-  }
-
-  const Candidates& root = nodes.front();
-  std::vector<int> swaps = build_swap_list(root.src, 0, root.count);
-  blas::laswp(n, panel.data(), panel.ld(), 0, root.count, swaps.data());
-  blas::getrf_nopiv(m, n, panel.data(), panel.ld());
   return swaps;
 }
 

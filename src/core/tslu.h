@@ -11,13 +11,13 @@
 // [23]), "the best available sequential algorithm".
 //
 // The pieces are exposed separately because CALU turns each leaf/merge into
-// a DAG task (task P in the paper); tslu_factor() runs the whole pipeline
-// sequentially for standalone use and tests.
+// a DAG task (task P in the paper).  The sequential whole-panel reference
+// (and the copy-then-replay selection the leaf and merge reproduce) live
+// in tests/tslu_test.cpp as its oracle.
 //
 // The tournament pieces are precision-templated: the mixed-precision path
 // runs the whole engine (tournament included) in float32, so leaf/merge
-// operate on whatever element type the packed matrix carries.  The
-// standalone tslu_factor reference stays double-only.
+// operate on whatever element type the packed matrix carries.
 #pragma once
 
 #include <vector>
@@ -43,13 +43,6 @@ struct CandidatesT {
 
 using Candidates = CandidatesT<double>;
 
-/// GEPP-select on (rows x width) W (column-major, ld = ldw): factors a
-/// scratch copy with partial pivoting, applies the resulting row swaps to W
-/// and `src` in lockstep, so W's first min(rows, width) rows are the
-/// winners with their origin ids.  Deterministic.
-void tournament_select(int rows, int width, double* w, int ldw, int* src);
-void tournament_select(int rows, int width, float* w, int ldw, int* src);
-
 /// Leaf step: gather the given tiles of panel column `kcol` (tile rows in
 /// `tile_rows`, ascending) from `a`, select, and return the winner set.
 ///
@@ -58,11 +51,10 @@ void tournament_select(int rows, int width, float* w, int ldw, int* src);
 /// positions come from replaying the pivot swaps on an index vector, and
 /// their original values are then copied from where they already live —
 /// the packed panel for a leaf (it stays read-only until the panel's
-/// finalize task), the children's candidate sets for a merge.
-/// tournament_select instead factors a second copy and replays every
-/// swap across the rows.  getrf_recursive sees the same input either
-/// way, so pivots, winners and candidate bits are identical; the one-
-/// copy path just skips a copy and the row replay.
+/// finalize task), the children's candidate sets for a merge.  Pivots,
+/// winners and candidate bits are those of GEPP-selecting a second copy
+/// and replaying every swap across the rows (the test oracle); the one-
+/// copy path just skips that copy and the row replay.
 template <class T>
 CandidatesT<T> tslu_leaf(const layout::PackedMatrixT<T>& a, int kcol,
                          const std::vector<int>& tile_rows);
@@ -88,11 +80,5 @@ extern template CandidatesT<float> tslu_merge<float>(const CandidatesT<float>&,
 /// Winners must be distinct.
 std::vector<int> build_swap_list(const std::vector<int>& winners, int row0,
                                  int count);
-
-/// Standalone TSLU of an m x n panel (column-major Matrix, m >= 1): full
-/// tournament with `nchunks` leaves over row chunks, swap application, and
-/// unpivoted factorization in place.  Returns the absolute swap list
-/// (length min(m, n)).  Reference implementation for tests and examples.
-std::vector<int> tslu_factor(layout::Matrix& panel, int nchunks);
 
 }  // namespace calu::core

@@ -16,12 +16,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <string>
 #include <vector>
 
 #include "src/blas/blas.h"
 #include "src/blas/microkernel.h"
 #include "src/layout/matrix.h"
+#include "src/util/aligned_buffer.h"
 #include "tests/test_util.h"
 
 namespace calu {
@@ -445,6 +447,86 @@ TEST_P(KernelConformance, FloatTrsmAllCasesBoundarySweep) {
                   << nrhs << " kernel=" << blas::active_kernel().name
                   << " (float)";
             }
+}
+
+// gemm_packed over m rows in one call against the same rows split in
+// two at every remainder 1..mr-1, so each edge-strip shape (and the
+// masked write-back of every partial vector) meets the full-strip path.
+template <class T>
+void check_split_rows_bitwise() {
+  const int mr = blas::active_kernel_t<T>().mr;
+  const int m = 2 * mr + 3, n = 11, k = 37;
+  const std::vector<double> av = test::random_vec(std::size_t(m) * k, 901);
+  const std::vector<double> bv = test::random_vec(std::size_t(k) * n, 902);
+  const std::vector<double> cv = test::random_vec(std::size_t(m) * n, 903);
+  const std::vector<T> a(av.begin(), av.end()), b(bv.begin(), bv.end()),
+      c0(cv.begin(), cv.end());
+  util::AlignedBufferT<T> pb, pa;
+  pb.reserve(blas::packed_b_size<T>(k, n));
+  blas::gemm_pack_b(Trans::No, k, n, b.data(), k, pb.data());
+  const auto run = [&](int r0, int rows, std::vector<T>& c) {
+    pa.reserve(blas::packed_a_size<T>(rows, k));
+    blas::gemm_pack_a(Trans::No, rows, k, a.data() + r0, m, pa.data());
+    blas::gemm_packed(rows, n, k, T(-0.75), pa.data(), pb.data(),
+                      c.data() + r0, m);
+  };
+  std::vector<T> whole = c0;
+  run(0, m, whole);
+  for (int r = 1; r < mr; ++r) {
+    std::vector<T> split = c0;
+    run(0, r, split);
+    run(r, m - r, split);
+    ASSERT_EQ(0, std::memcmp(whole.data(), split.data(),
+                             sizeof(T) * whole.size()))
+        << "split at " << r << " kernel=" << blas::active_kernel().name;
+  }
+}
+
+TEST_P(KernelConformance, PackedRowsSplitAtEveryRemainderBitwise) {
+  check_split_rows_bitwise<double>();
+  check_split_rows_bitwise<float>();
+}
+
+// The pack-free update kernel against gemm_packed on the same operands,
+// and gemm_cols against gemm on both sides of its naive threshold: A is
+// read through column pointers into a strided matrix.
+TEST_P(KernelConformance, PackFreeUpdateMatchesGemmBitwise) {
+  const blas::MicroKernel& mk = blas::active_kernel();
+  for (int m : {1, 3, 8, 13, 24, 37, 100})
+    for (int n : {1, 3, 9})
+      for (int k : {1, 17, 64, mk.kc + 5}) {
+        SCOPED_TRACE("m=" + std::to_string(m) + " n=" + std::to_string(n) +
+                     " k=" + std::to_string(k));
+        const int lda = m + 5, ldb = k + 2, ldc = m + 1;
+        const Matrix a = Matrix::random(lda, k, 911 + m);
+        const Matrix b = Matrix::random(ldb, n, 912 + k);
+        const Matrix c0 = Matrix::random(ldc, n, 913 + n);
+        std::vector<const double*> acols(k);
+        for (int p = 0; p < k; ++p) acols[p] = a.data() + std::size_t(p) * lda;
+
+        // One kc block, straight through the dispatch-table entry.
+        const int kc = std::min(k, mk.kc);
+        util::AlignedBufferT<double> pa, pb;
+        pa.reserve(blas::packed_a_size(m, kc));
+        pb.reserve(blas::packed_b_size(kc, n));
+        blas::gemm_pack_a(Trans::No, m, kc, a.data(), lda, pa.data());
+        blas::gemm_pack_b(Trans::No, kc, n, b.data(), ldb, pb.data());
+        Matrix want = c0, got = c0;
+        blas::gemm_packed(m, n, kc, -1.0, pa.data(), pb.data(), want.data(),
+                          ldc);
+        mk.pack_free(m, n, kc, -1.0, acols.data(), b.data(), ldb, got.data(),
+                     ldc);
+        EXPECT_TRUE(test::same_bits(got, want)) << "pack_free";
+
+        // gemm_cols as the rows of one gemm call, whichever chain it takes.
+        want = c0;
+        got = c0;
+        blas::gemm(Trans::No, Trans::No, m, n, k, -1.0, a.data(), lda,
+                   b.data(), ldb, 1.0, want.data(), ldc);
+        blas::gemm_cols(m, m, n, k, -1.0, acols.data(), b.data(), ldb,
+                        got.data(), ldc);
+        EXPECT_TRUE(test::same_bits(got, want)) << "gemm_cols";
+      }
 }
 
 TEST_P(KernelConformance, FloatAndDoubleTablesShareVariantNames) {

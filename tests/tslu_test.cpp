@@ -19,8 +19,76 @@ namespace calu {
 namespace {
 
 using core::build_swap_list;
-using core::tslu_factor;
 using layout::Matrix;
+
+// ------------------------------------------------------------ oracle ---
+
+/// GEPP-select on (rows x width) W (column-major, ld = ldw): factors a
+/// scratch copy with partial pivoting, applies the resulting row swaps to W
+/// and `src` in lockstep, so W's first min(rows, width) rows are the
+/// winners with their origin ids — the copy-then-replay selection that
+/// tslu_leaf and tslu_merge reproduce with one copy.
+template <class T>
+void tournament_select(int rows, int width, T* w, int ldw, int* src) {
+  if (rows <= 1) return;
+  std::vector<T> lu(static_cast<std::size_t>(rows) * width);
+  for (int j = 0; j < width; ++j)
+    std::copy_n(w + static_cast<std::size_t>(j) * ldw, rows,
+                lu.data() + static_cast<std::size_t>(j) * rows);
+  std::vector<int> ipiv(std::min(rows, width));
+  blas::getrf_recursive(rows, width, lu.data(), rows, ipiv.data());
+  for (int i = 0; i < static_cast<int>(ipiv.size()); ++i) {
+    const int p = ipiv[i];
+    if (p == i) continue;
+    blas::swap_rows(width, w, ldw, i, p);
+    std::swap(src[i], src[p]);
+  }
+}
+
+/// Sequential TSLU of an m x n panel (column-major, m >= 1): `nchunks`
+/// leaves over row chunks, a binary tree of tslu_merge steps, the swaps,
+/// and the unpivoted factorization in place.  Returns the absolute swap
+/// list (length min(m, n)).
+std::vector<int> tslu_factor(Matrix& panel, int nchunks) {
+  const int m = panel.rows();
+  const int n = panel.cols();
+  nchunks = std::clamp(nchunks, 1, m);
+  std::vector<core::Candidates> nodes;
+  for (int c = 0; c < nchunks; ++c) {
+    const int lo = static_cast<int>(static_cast<long long>(m) * c / nchunks);
+    const int hi =
+        static_cast<int>(static_cast<long long>(m) * (c + 1) / nchunks);
+    if (hi <= lo) continue;
+    const int rows = hi - lo;
+    std::vector<double> w(static_cast<std::size_t>(rows) * n);
+    std::vector<int> src(rows);
+    for (int j = 0; j < n; ++j)
+      std::copy_n(panel.data() + lo + static_cast<std::size_t>(j) * panel.ld(),
+                  rows, w.data() + static_cast<std::size_t>(j) * rows);
+    std::iota(src.begin(), src.end(), lo);
+    tournament_select(rows, n, w.data(), rows, src.data());
+    core::Candidates leaf;
+    leaf.width = n;
+    leaf.count = std::min(rows, n);
+    leaf.src.assign(src.begin(), src.begin() + leaf.count);
+    for (int j = 0; j < n; ++j)
+      for (int i = 0; i < leaf.count; ++i)
+        leaf.vals.push_back(w[i + static_cast<std::size_t>(j) * rows]);
+    nodes.push_back(std::move(leaf));
+  }
+  while (nodes.size() > 1) {
+    std::vector<core::Candidates> next;
+    for (std::size_t i = 0; i + 1 < nodes.size(); i += 2)
+      next.push_back(core::tslu_merge(nodes[i], nodes[i + 1]));
+    if (nodes.size() % 2 == 1) next.push_back(std::move(nodes.back()));
+    nodes = std::move(next);
+  }
+  const core::Candidates& root = nodes.front();
+  std::vector<int> swaps = build_swap_list(root.src, 0, root.count);
+  blas::laswp(n, panel.data(), panel.ld(), 0, root.count, swaps.data());
+  blas::getrf_nopiv(m, n, panel.data(), panel.ld());
+  return swaps;
+}
 
 struct TsluCase {
   int m, n, nchunks;
@@ -195,7 +263,7 @@ TEST(TournamentSelect, KeepsLargestPivotFirst) {
   int argmax = 0;
   for (int i = 1; i < rows; ++i)
     if (std::fabs(w[i]) > std::fabs(w[argmax])) argmax = i;
-  core::tournament_select(rows, 1, w.data(), rows, src.data());
+  tournament_select(rows, 1, w.data(), rows, src.data());
   EXPECT_EQ(src[0], argmax);
 }
 
@@ -205,7 +273,7 @@ TEST(TournamentSelect, WinnersKeepOriginalValues) {
   auto orig = w;
   std::vector<int> src(rows);
   for (int i = 0; i < rows; ++i) src[i] = i;
-  core::tournament_select(rows, width, w.data(), rows, src.data());
+  tournament_select(rows, width, w.data(), rows, src.data());
   // Row i of the permuted buffer must equal original row src[i] — the
   // tournament must not modify values, only reorder.
   for (int i = 0; i < width; ++i)
@@ -240,7 +308,7 @@ template <class T>
 core::CandidatesT<T> reference_select(std::vector<T> w, std::vector<int> src,
                                       int width) {
   const int rows = static_cast<int>(src.size());
-  core::tournament_select(rows, width, w.data(), rows, src.data());
+  tournament_select(rows, width, w.data(), rows, src.data());
   const int keep = std::min(rows, width);
   core::CandidatesT<T> c;
   c.count = keep;
