@@ -183,9 +183,9 @@ std::vector<float> frandom(int m, int n, std::uint64_t seed) {
   return out;
 }
 
-/// The narrow getrs of one n = 2048, nrhs = 1 solve (ms per solve, best
-/// of the timed reps) on the dispatched kernel: laswp + the two trsm
-/// calls it replaced, core::getrs on the column-major factors, and
+/// The narrow getrs of one n = 2048, nrhs = 1 solve (ms per solve, mean
+/// of a >= 0.1 s timed loop) on the dispatched kernel: the reference
+/// laswp + two trsm calls, core::getrs on the column-major factors, and
 /// core::getrs on the same factors packed BCL at b = 100 — serial and
 /// split over a team of every cpu in the affinity mask.
 void write_solve_rows(std::FILE* f) {
