@@ -104,14 +104,14 @@ struct Timing {
 /// data) and excluded from the timing, matching a library whose matrices
 /// already live in the target layout.
 inline Timing time_calu(const layout::Matrix& a0, core::Options opt,
-                        sched::ThreadTeam& team, int nreps = reps()) {
-  opt.threads = team.size();
+                        sched::Session& session, int nreps = reps()) {
+  opt.threads = session.threads();
   std::vector<Timing> runs;
   sched::EngineStats total;
   for (int r = 0; r < nreps; ++r) {
     layout::PackedMatrix p = layout::PackedMatrix::pack(
         a0, opt.layout, opt.b, opt.resolved_grid());
-    core::Factorization f = core::getrf(p, opt, &team);
+    core::Factorization f = core::getrf(p, opt, session);
     total.merge(f.stats.engine);
     runs.push_back({f.stats.factor_seconds, f.stats.gflops, f.stats, {}});
   }
@@ -142,14 +142,14 @@ inline Timing time_getrf_pp(const layout::Matrix& a0, int b,
 }
 
 inline Timing time_incpiv(const layout::Matrix& a0, int b,
-                          sched::ThreadTeam& team, int nreps = reps()) {
+                          sched::Session& session, int nreps = reps()) {
   std::vector<Timing> runs;
   sched::EngineStats total;
   for (int r = 0; r < nreps; ++r) {
     layout::PackedMatrix p = layout::PackedMatrix::pack(
         a0, layout::Layout::TwoLevelBlock, b,
-        layout::Grid::best(team.size()));
-    core::IncpivFactor f = core::getrf_incpiv(p, core::Options{}, team);
+        layout::Grid::best(session.threads()));
+    core::IncpivFactor f = core::getrf_incpiv(p, core::Options{}, session);
     total.merge(f.stats.engine);
     runs.push_back({f.stats.factor_seconds, f.stats.gflops, f.stats, {}});
   }

@@ -21,7 +21,7 @@ inline void dratio_sweep(const char* fig, layout::Layout lay, int threads,
   if (!engine.empty()) std::printf("# engine=%s (all rows)\n", engine.c_str());
   std::printf("%-8s %-10s %-12s %-10s %-12s\n", "n", "schedule", "dynamic%",
               "Gflop/s", "seconds");
-  sched::ThreadTeam team(threads, true);
+  sched::Session session(sched::SessionOptions{threads, true});
   const double dratios[] = {0.0, 0.10, 0.20, 0.30, 0.50, 0.75, 1.0};
   for (int n : ns) {
     layout::Matrix a0 = layout::Matrix::random(n, n, 42);
@@ -31,7 +31,7 @@ inline void dratio_sweep(const char* fig, layout::Layout lay, int threads,
       opt.layout = lay;
       const ScheduleSpec s = at_dratio(d);
       apply(opt, s, engine);
-      Timing t = time_calu(a0, opt, team);
+      Timing t = time_calu(a0, opt, session);
       std::printf("%-8d %-10s %-12.0f %-10.2f %-12.4f\n", n, s.label, d * 100,
                   t.gflops, t.seconds);
     }

@@ -18,7 +18,7 @@ inline void summary_sweep(const char* fig, int threads,
   if (!engine.empty()) std::printf("# engine=%s (all rows)\n", engine.c_str());
   std::printf("%-8s %-26s %-10s %-12s\n", "n", "variant", "Gflop/s",
               "seconds");
-  sched::ThreadTeam team(threads, true);
+  sched::Session session(sched::SessionOptions{threads, true});
 
   struct Variant {
     const char* name;
@@ -42,7 +42,7 @@ inline void summary_sweep(const char* fig, int threads,
       opt.b = default_b(n);
       opt.layout = v.lay;
       apply(opt, v.sched, engine);
-      Timing t = time_calu(a0, opt, team);
+      Timing t = time_calu(a0, opt, session);
       std::printf("%-8d %-26s %-10.2f %-12.4f\n", n, v.name, t.gflops,
                   t.seconds);
     }

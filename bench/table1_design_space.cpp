@@ -17,7 +17,7 @@ int main() {
   std::printf("# n=%d b=%d threads=%d; cells in Gflop/s\n", n, default_b(n),
               threads);
 
-  sched::ThreadTeam team(threads, true);
+  sched::Session session(sched::SessionOptions{threads, true});
   layout::Matrix a0 = layout::Matrix::random(n, n, 42);
 
   const ScheduleSpec cells[] = {
@@ -41,7 +41,7 @@ int main() {
       opt.b = default_b(n);
       opt.layout = lay;
       apply(opt, c);
-      Timing t = time_calu(a0, opt, team);
+      Timing t = time_calu(a0, opt, session);
       char buf[32];
       std::snprintf(buf, sizeof buf, "%.2f%s", t.gflops,
                     in_paper ? "" : "+");

@@ -25,14 +25,14 @@ int main() {
               threads);
 
   layout::Matrix a0 = layout::Matrix::random(n, n, 42);
-  sched::ThreadTeam team(threads, true);
+  sched::Session session(sched::SessionOptions{threads, true});
 
   // T1: serial time (the model's numerator), measured without noise.
   core::Options opt;
   opt.b = b;
   opt.layout = layout::Layout::BlockCyclic;
   opt.dratio = 0.1;
-  sched::ThreadTeam solo(1, true);
+  sched::Session solo(sched::SessionOptions{1, true});
   const double t1 = time_calu(a0, opt, solo, 1).seconds;
   std::printf("# measured T1 = %.3f s, Tp = T1/p = %.3f s\n", t1,
               t1 / threads);
@@ -49,7 +49,7 @@ int main() {
   for (double d : {0.0, 0.05, 0.10, 0.20, 0.30, 0.50, 0.75, 1.0}) {
     apply(opt, at_dratio(d));
     opt.noise = spec;
-    Timing t = time_calu(a0, opt, team, reps());
+    Timing t = time_calu(a0, opt, session, reps());
     model::ModelParams m;
     m.t1 = t1;
     m.p = threads;

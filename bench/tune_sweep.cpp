@@ -34,7 +34,7 @@ int run(const char* path, int threads, int nreps) {
     return 1;
   }
   if (threads <= 0) threads = bench::intel_threads();
-  sched::ThreadTeam team(threads, true);
+  sched::Session session(sched::SessionOptions{threads, true});
   // Calibration measurements get the same best-of treatment as the timed
   // rows, so a noise spike cannot crown the wrong candidate.
   tune::global_autotuner().set_measure(tune::real_measure(nreps));
@@ -65,7 +65,7 @@ int run(const char* path, int threads, int nreps) {
       opt.b = bench::default_b(n);
       opt.layout = layout::Layout::BlockCyclic;
       bench::apply(opt, bench::at_dratio(d));
-      const bench::Timing t = bench::time_calu(a0, opt, team, nreps);
+      const bench::Timing t = bench::time_calu(a0, opt, session, nreps);
       if (best_s == 0.0 || t.seconds < best_s) {
         best_s = t.seconds;
         best_g = t.gflops;
@@ -78,14 +78,12 @@ int run(const char* path, int threads, int nreps) {
     opt.tune = core::TuneMode::Auto;
     opt.layout = layout::Layout::BlockCyclic;
     opt.threads = threads;
-    opt = core::with_tune_key(opt, n, n);
     const auto c0 = std::chrono::steady_clock::now();
-    const tune::Decision dec = tune::decision_for(opt);
+    opt = core::resolve(opt, n, n, session);  // the tuned knobs, in opt
     const double calib_s =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - c0)
             .count();
-    opt.b = opt.resolved_b();  // materialize for the shared packer
-    const bench::Timing t = bench::time_calu(a0, opt, team, nreps);
+    const bench::Timing t = bench::time_calu(a0, opt, session, nreps);
     const double ratio = t.seconds / best_s;
 
     std::fprintf(
@@ -97,12 +95,12 @@ int run(const char* path, int threads, int nreps) {
         "\"lookahead_depth\": %d, \"seconds\": %.6f, \"gflops\": %.2f, "
         "\"calibration_seconds\": %.6f},\n"
         "     \"auto_vs_best\": %.4f}%s\n",
-        n, best_d, bench::default_b(n), best_s, best_g, dec.dratio, opt.b,
-        dec.engine.c_str(), dec.lookahead_depth, t.seconds, t.gflops,
+        n, best_d, bench::default_b(n), best_s, best_g, opt.dratio, opt.b,
+        opt.engine.c_str(), opt.lookahead_depth, t.seconds, t.gflops,
         calib_s, ratio, ni + 1 < ns.size() ? "," : "");
     std::printf("%-8d d=%-12.2f %-12.4f {%.2f,%d,%s}%*s %-12.4f %.3f\n", n,
-                best_d, best_s, dec.dratio, opt.b, dec.engine.c_str(),
-                std::max(0, 10 - static_cast<int>(dec.engine.size())), "",
+                best_d, best_s, opt.dratio, opt.b, opt.engine.c_str(),
+                std::max(0, 10 - static_cast<int>(opt.engine.size())), "",
                 t.seconds, ratio);
     std::fflush(stdout);
   }

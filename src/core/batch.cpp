@@ -32,7 +32,8 @@ void finish_stats(BatchStats& st, const sched::Session& session,
 }
 
 /// Sequential mode: one engine run per job, submission order — exactly
-/// the per-job getrf/gesv drivers back-to-back on the session.
+/// the per-job getrf/gesv drivers back-to-back on the session, each on
+/// its job's resolved Options.
 BatchRunResult run_sequential(std::vector<BatchJob>& jobs,
                               sched::Session& session) {
   BatchRunResult res;
@@ -43,6 +44,7 @@ BatchRunResult run_sequential(std::vector<BatchJob>& jobs,
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     BatchJob& job = jobs[i];
     BatchJobResult& out = res.jobs[i];
+    job.options = resolve(job.options, job.a->rows(), job.a->cols(), session);
     if (job.rhs != nullptr) {
       // Float32 solve jobs get the full mixed-precision treatment
       // (refinement to double accuracy + fallback), exactly as if the
@@ -84,13 +86,11 @@ BatchRunResult run_fused(std::vector<BatchJob>& jobs,
     return res;
   }
 
-  // Tune keys first: each job's Options get their problem-size key
-  // stamped from that job's own matrix, so the engine agreement below
-  // compares tuned resolutions rather than the unkeyed defaults.
-  for (BatchJob& job : jobs)
-    job.options = with_tune_key(with_session_threads(job.options, session),
-                                job.a->rows(), job.a->cols());
-
+  // Each job's Options are resolved once, for that job's own matrix:
+  // grid, tile size, dratio and engine are fixed on the caller, so no
+  // tuner lookup, and no pinned worker's one-cpu mask, decides them
+  // inside the engine.
+  //
   // One engine executes the fused graph: a job set that names two engines
   // has no faithful fused schedule, and silently picking one would betray
   // whichever job asked for the other (the make_engine_or_default "warn
@@ -99,15 +99,19 @@ BatchRunResult run_fused(std::vector<BatchJob>& jobs,
   // carry different profile engines, and the caller's intent ("whatever
   // is fastest") is served by adopting the lead job's resolution, not by
   // a throw the caller cannot predict.
-  const std::string engine = jobs[0].options.resolved_engine();
+  std::string engine;
   for (BatchJob& job : jobs) {
     Options& o = job.options;
-    if (o.tune != TuneMode::Off && o.engine.empty()) {
+    const bool adopt = o.tune != TuneMode::Off && o.engine.empty();
+    o = resolve(o, job.a->rows(), job.a->cols(), session);
+    if (engine.empty()) {
+      engine = o.engine;
+    } else if (adopt) {
       o.engine = engine;
-    } else if (o.resolved_engine() != engine) {
+    } else if (o.engine != engine) {
       throw std::invalid_argument(
           "batched_run(BatchMode::Fused): jobs disagree on the engine (\"" +
-          engine + "\" vs \"" + o.resolved_engine() +
+          engine + "\" vs \"" + o.engine +
           "\"); align Options::engine across jobs or use "
           "BatchMode::Sequential");
     }
@@ -141,30 +145,16 @@ BatchRunResult run_fused(std::vector<BatchJob>& jobs,
   // Prepare the tile-level jobs: per-job pack + plan with that job's own
   // Options.  Every job packs straight from its A (rhs jobs never write
   // it: they solve on the packed factors, gesv-style).  Whole jobs pack
-  // and plan in their own task; here they only get Options with grid and
-  // dratio resolved on the caller, since
-  // a tuner lookup, or the pinned worker's one-cpu mask, must not decide
-  // them inside the engine.  GetrfJob keeps a reference to its
+  // and plan in their own task.  GetrfJob keeps a reference to its
   // PackedMatrix element, so both vectors are sized up front.
   std::vector<layout::PackedMatrix> packed(n);
   std::vector<std::optional<GetrfJob>> prepared(n);
-  std::vector<Options> whole_opt(n);
   for (std::size_t i = 0; i < n; ++i) {
-    Options& o = jobs[i].options;
-    o.b = o.resolved_b();  // the fused path owns the packing, like getrf
-    const layout::Grid grid = o.resolved_grid();
-    if (whole[i]) {
-      Options& w = whole_opt[i];
-      w = o;
-      w.pr = grid.pr;
-      w.pc = grid.pc;
-      w.dratio = o.resolved_dratio();
-      w.tune = TuneMode::Off;
-      continue;
-    }
+    if (whole[i]) continue;
+    const Options& o = jobs[i].options;
     // Placed for the owner rotation run_fused applies to this job.
     packed[i] = layout::PackedMatrix::pack(
-        *jobs[i].a, o.layout, o.b, grid,
+        *jobs[i].a, o.layout, o.b, o.resolved_grid(),
         owner_runner_from(o, session.team(),
                           sched::fused_owner_shift(static_cast<int>(i), p)));
     prepared[i].emplace(packed[i], o);
@@ -216,7 +206,7 @@ BatchRunResult run_fused(std::vector<BatchJob>& jobs,
   // epilogue.  The tasks run the same bodies on the same operands as in
   // any other schedule, so the bits do not change.
   const auto run_whole = [&](std::size_t i, int tid) {
-    const Options& o = whole_opt[i];
+    const Options& o = jobs[i].options;
     packed[i] = layout::PackedMatrix::pack(*jobs[i].a, o.layout, o.b,
                                            o.resolved_grid());
     GetrfJob& job = prepared[i].emplace(packed[i], o);
@@ -347,27 +337,6 @@ void validate_all(const std::vector<BatchJob>& jobs) {
 }
 
 }  // namespace
-
-const char* job_error_message(JobError e) {
-  switch (e) {
-    case JobError::None: return "valid";
-    case JobError::NullMatrix: return "A is null";
-    case JobError::RhsNotSquare: return "A has an rhs but is not square";
-    case JobError::RhsRows: return "rhs row count differs from A's";
-    case JobError::TileSize: return "tile size b is below 1";
-  }
-  return "?";
-}
-
-JobError validate(const BatchJob& job) {
-  if (job.a == nullptr) return JobError::NullMatrix;
-  if (job.rhs != nullptr) {
-    if (job.a->rows() != job.a->cols()) return JobError::RhsNotSquare;
-    if (job.rhs->rows() != job.a->rows()) return JobError::RhsRows;
-  }
-  if (job.options.b < 1) return JobError::TileSize;
-  return JobError::None;
-}
 
 BatchRunResult batched_run(std::vector<BatchJob>& jobs,
                            sched::Session& session, BatchMode mode) {

@@ -69,10 +69,10 @@ namespace calu::core {
 struct BatchJob {
   layout::Matrix* a = nullptr;
   const layout::Matrix* rhs = nullptr;
-  /// Per-job knobs.  Under TuneMode::Auto/Force the fused path
-  /// materializes the tuned resolution into this field (tune key, tile
-  /// size, and — for jobs with no explicit engine ask — the fused run's
-  /// engine), so on return it records what actually ran.
+  /// Per-job knobs.  batched_run (both modes) resolves this field in
+  /// place (core::resolve; in fused mode a tuned job with no explicit
+  /// engine ask then takes the fused run's engine), so on return it
+  /// records what actually ran.
   Options options;
   std::function<void(int job)> on_complete;
 };
@@ -128,20 +128,22 @@ struct BatchRunResult {
   BatchStats stats;
 };
 
-/// Why validate() rejects a job.
+/// Why validate() or pack_for() rejects a job.
 enum class JobError : std::uint8_t {
   None,          ///< valid
   NullMatrix,    ///< `a` is null
   RhsNotSquare,  ///< an rhs job whose A is not square
   RhsRows,       ///< rhs row count differs from A's
   TileSize,      ///< options.b < 1
+  NotSquare,     ///< a Cholesky job whose A is not square (pack_for)
 };
 
 const char* job_error_message(JobError e);
 
 /// The input check batched_run (both modes) and sched::Service::submit
 /// run on every job, in Release builds too: a mismatched shape would
-/// otherwise read and write out of bounds.
+/// otherwise read and write out of bounds.  The Matrix-level drivers run
+/// the same checks through pack_for().
 JobError validate(const BatchJob& job);
 
 /// Runs a batch of factor / factor+solve jobs through one session.

@@ -16,9 +16,12 @@
 #include <cstdio>
 #include <memory>
 #include <mutex>
+#include <stdexcept>
+#include <string>
 
 #include "src/blas/blas.h"
 #include "src/blas/microkernel.h"
+#include "src/core/batch.h"
 #include "src/core/calu_dag.h"
 #include "src/core/tslu.h"
 #include "src/model/lu_cost.h"
@@ -335,7 +338,37 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
+/// The checks behind validate() and pack_for(): `rhs` needs a square `a`
+/// with as many rows, `square` asks for a square `a`, `b` must be >= 1.
+JobError check_input(const layout::Matrix* a, const layout::Matrix* rhs,
+                     bool square, int b) {
+  if (a == nullptr) return JobError::NullMatrix;
+  if (rhs != nullptr) {
+    if (a->rows() != a->cols()) return JobError::RhsNotSquare;
+    if (rhs->rows() != a->rows()) return JobError::RhsRows;
+  }
+  if (square && a->rows() != a->cols()) return JobError::NotSquare;
+  if (b < 1) return JobError::TileSize;
+  return JobError::None;
+}
+
 }  // namespace
+
+const char* job_error_message(JobError e) {
+  switch (e) {
+    case JobError::None: return "valid";
+    case JobError::NullMatrix: return "A is null";
+    case JobError::RhsNotSquare: return "A has an rhs but is not square";
+    case JobError::RhsRows: return "rhs row count differs from A's";
+    case JobError::TileSize: return "tile size b is below 1";
+    case JobError::NotSquare: return "A is not square";
+  }
+  return "?";
+}
+
+JobError validate(const BatchJob& job) {
+  return check_input(job.a, job.rhs, false, job.options.b);
+}
 
 const char* precision_name(Precision p) {
   switch (p) {
@@ -372,9 +405,7 @@ layout::Grid Options::resolved_grid() const {
 }
 
 double Options::resolved_dratio() const {
-  const double d =
-      tune != TuneMode::Off ? tune::decision_for(*this).dratio : dratio;
-  if (d < 0.0 || d > 1.0) {
+  if (dratio < 0.0 || dratio > 1.0) {
     // Out-of-range ratios used to flow into plan construction silently
     // (dratio = 1.5 built a plan with a negative static prefix).  Clamp,
     // and say so once — a hot batch loop resolves this per job.
@@ -383,27 +414,36 @@ double Options::resolved_dratio() const {
       std::fprintf(stderr,
                    "calu::core: Options::dratio %g out of [0, 1]; "
                    "clamping (warned once)\n",
-                   d);
+                   dratio);
   }
-  return std::clamp(d, 0.0, 1.0);
+  return std::clamp(dratio, 0.0, 1.0);
 }
 
-int Options::resolved_b() const {
-  if (tune != TuneMode::Off && tune_n > 0)
-    return std::min(tune::decision_for(*this).b, tune_n);
-  return b;
-}
+int Options::resolved_b() const { return b; }
 
 std::string Options::resolved_engine() const {
-  if (!engine.empty()) return engine;
-  if (tune != TuneMode::Off) return tune::decision_for(*this).engine;
-  return "hybrid";
+  return engine.empty() ? "hybrid" : engine;
 }
 
-int Options::resolved_lookahead() const {
-  if (tune != TuneMode::Off)
-    return tune::decision_for(*this).lookahead_depth;
-  return lookahead_depth;
+Options resolve(const Options& opt, int m, int n,
+                const sched::Session& session) {
+  Options o = opt;
+  if (o.threads <= 0) o.threads = session.threads();
+  if (o.tune_n == 0) o.tune_n = std::min(m, n);
+  if (o.tune != TuneMode::Off) {
+    const tune::Decision d = tune::decision_for(o);
+    if (o.tune_n > 0) o.b = std::min(d.b, o.tune_n);
+    o.dratio = d.dratio;
+    if (o.engine.empty()) o.engine = d.engine;
+    o.lookahead_depth = d.lookahead_depth;
+    o.tune = TuneMode::Off;
+  }
+  o.dratio = o.resolved_dratio();
+  o.engine = o.resolved_engine();
+  const layout::Grid grid = o.resolved_grid();
+  o.pr = grid.pr;
+  o.pc = grid.pc;
+  return o;
 }
 
 sched::SessionOptions session_options_from(const Options& opt) {
@@ -414,14 +454,6 @@ Options with_tune_key(const Options& opt, int m, int n) {
   if (opt.tune == TuneMode::Off || opt.tune_n != 0) return opt;
   Options o = opt;
   o.tune_n = std::min(m, n);
-  return o;
-}
-
-Options with_session_threads(const Options& opt,
-                             const sched::Session& session) {
-  if (opt.threads != 0 || (opt.pr > 0 && opt.pc > 0)) return opt;
-  Options o = opt;
-  o.threads = session.threads();
   return o;
 }
 
@@ -449,7 +481,7 @@ sched::RunHooks run_hooks_from(const Options& opt, int team_size,
                                std::unique_ptr<noise::Injector>& injector) {
   sched::RunHooks hooks;
   hooks.recorder = opt.recorder;
-  hooks.lookahead_depth = opt.resolved_lookahead();
+  hooks.lookahead_depth = opt.lookahead_depth;
   if (opt.noise.enabled()) {
     injector = std::make_unique<noise::Injector>(opt.noise, team_size);
     hooks.injector = injector.get();
@@ -485,13 +517,8 @@ struct GetrfJob::Impl {
   }
 };
 
-GetrfJob::GetrfJob(layout::PackedMatrix& a, const Options& opt_in) {
-  assert(a.tiling().b == opt_in.b);
-  // Tune key from the packed shape, so a job constructed directly (the
-  // batch layer, the service) resolves the same profile entry as the
-  // Matrix-level drivers.  The tile size is already fixed by the
-  // caller's packing; only dratio/engine/lookahead can still be tuned.
-  const Options opt = with_tune_key(opt_in, a.tiling().m, a.tiling().n);
+GetrfJob::GetrfJob(layout::PackedMatrix& a, const Options& opt) {
+  assert(a.tiling().b == opt.b);
   const auto t0 = std::chrono::steady_clock::now();
   impl_ = std::make_unique<Impl>(a, opt);
   if (opt.priority_class == PriorityClass::Batch) {
@@ -556,7 +583,8 @@ Factorization GetrfJob::finish_on(sched::ThreadTeam* team) {
 
 Factorization getrf(layout::PackedMatrix& a, const Options& opt_in,
                     sched::Session& session) {
-  const Options opt = with_tune_key(opt_in, a.tiling().m, a.tiling().n);
+  Options opt = resolve(opt_in, a.tiling().m, a.tiling().n, session);
+  opt.b = a.tiling().b;  // the caller's packing fixed the tile size
   GetrfJob job(a, opt);
   std::unique_ptr<noise::Injector> injector;
   sched::RunHooks hooks = run_hooks_from(opt, session.threads(), injector);
@@ -564,7 +592,7 @@ Factorization getrf(layout::PackedMatrix& a, const Options& opt_in,
   auto exec = [&job](int id, int tid) { job.exec(id, tid); };
   const auto t0 = std::chrono::steady_clock::now();
   const sched::EngineStats engine_stats =
-      session.run(job.graph(), exec, hooks, opt.resolved_engine());
+      session.run(job.graph(), exec, hooks, opt.engine);
   Factorization f = job.finish(session.team());
   f.stats.engine = engine_stats;
   f.stats.factor_seconds = seconds_since(t0);
@@ -574,16 +602,6 @@ Factorization getrf(layout::PackedMatrix& a, const Options& opt_in,
     f.stats.noise_delta_avg = injector->delta_avg();
   }
   return f;
-}
-
-Factorization getrf(layout::PackedMatrix& a, const Options& opt,
-                    sched::ThreadTeam* team) {
-  if (team != nullptr) {
-    sched::Session borrowed(*team);
-    return getrf(a, opt, borrowed);
-  }
-  sched::Session ephemeral(session_options_from(opt));
-  return getrf(a, opt, ephemeral);
 }
 
 int team_share(std::size_t bytes, int team_size) {
@@ -605,28 +623,29 @@ void unpack_factors(const layout::PackedMatrix& p, layout::Matrix& lu,
 }
 
 layout::PackedMatrix pack_for(const layout::Matrix& a, Options& opt,
-                              sched::Session& session) {
-  // The Matrix-level drivers own the packing, so this is the one place the
-  // tuned tile size can be applied: materialize it into `b` before the
-  // pack (GetrfJob's b-match contract then holds by construction).
-  opt = with_tune_key(with_session_threads(opt, session), a.rows(), a.cols());
-  opt.b = opt.resolved_b();
+                              sched::Session& session,
+                              const layout::Matrix* rhs, bool square) {
+  // A bad shape or tile size would otherwise read and write out of
+  // bounds, or divide by zero, where no assert of a Release build looks.
+  const JobError e = check_input(&a, rhs, square, opt.b);
+  if (e != JobError::None)
+    throw std::invalid_argument(std::string("calu::core: ") +
+                                job_error_message(e));
+  // The Matrix-level drivers own the packing, so the tuned tile size that
+  // resolve() writes into `b` is the one packed with (GetrfJob's b-match
+  // contract then holds by construction).
+  opt = resolve(opt, a.rows(), a.cols(), session);
   return layout::PackedMatrix::pack(a, opt.layout, opt.b, opt.resolved_grid(),
                                     owner_runner_from(opt, session.team()));
 }
 
-Factorization getrf(const layout::Matrix& a, layout::Matrix& lu,
-                    const Options& opt_in, sched::Session& session) {
+Factorization getrf(layout::Matrix& a, const Options& opt_in,
+                    sched::Session& session) {
   Options opt = opt_in;
   layout::PackedMatrix p = pack_for(a, opt, session);
   Factorization f = getrf(p, opt, session);
-  unpack_factors(p, lu, opt, session.team());
+  unpack_factors(p, a, opt, session.team());
   return f;
-}
-
-Factorization getrf(layout::Matrix& a, const Options& opt,
-                    sched::Session& session) {
-  return getrf(a, a, opt, session);
 }
 
 Factorization getrf(layout::Matrix& a, const Options& opt) {

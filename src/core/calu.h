@@ -49,9 +49,9 @@ enum class PriorityClass : std::uint8_t { Interactive, Batch };
 const char* priority_class_name(PriorityClass c);
 
 /// Autotuning policy for the {dratio, b, engine, lookahead_depth} knobs
-/// (ROADMAP item 5; src/tune/autotuner.h).  Off uses the fields as set.
-/// Auto consults the per-host tuning profile through the resolved_*()
-/// accessors — a profile miss triggers a one-time model-seeded
+/// (src/tune/autotuner.h).  Off uses the fields as set.  Auto has
+/// resolve() write the per-host tuning profile's choice into the fields,
+/// once per job — a profile miss triggers a one-time model-seeded
 /// calibration for the (n, threads, kernel, topology) key, persisted
 /// thereafter.  Force recalibrates the key (once per process) even when
 /// a profile entry exists, e.g. after a hardware or load-environment
@@ -60,6 +60,10 @@ enum class TuneMode : std::uint8_t { Off, Auto, Force };
 
 const char* tune_mode_name(TuneMode m);
 
+/// What a caller asks of one factorization.  The drivers run it through
+/// resolve() once per job, which writes every derived value (thread
+/// count, grid, tuned knobs) into these fields; the resolved_*()
+/// accessors are pure reads of them.
 struct Options {
   int b = 100;                // tile size (the paper uses b = 100)
   /// Fraction of panels scheduled dynamically: 0 is fully static, 1 fully
@@ -87,7 +91,7 @@ struct Options {
   /// Executor registry name ("hybrid", "locality-tags", "work-stealing",
   /// "numa-hierarchical", "priority-lookahead", or any engine registered
   /// via sched::register_engine).  Empty = "hybrid", or the tuned engine
-  /// under Auto/Force; see resolved_engine().
+  /// under Auto/Force (resolve() writes it in).
   std::string engine;
   /// "priority-lookahead" window: panel-column tasks within this many
   /// panels of the completion frontier are promoted to the engine's
@@ -105,30 +109,39 @@ struct Options {
   /// async sched::Service maps its two request classes onto this.
   PriorityClass priority_class = PriorityClass::Interactive;
   /// Autotuning of {dratio, b, engine, lookahead_depth}: Off uses the
-  /// fields above verbatim; Auto/Force resolve them from the per-host
-  /// tuning profile (an explicitly set `engine` still wins).
+  /// fields above verbatim; under Auto/Force resolve() overwrites them
+  /// from the per-host tuning profile (an explicitly set `engine` still
+  /// wins) and returns tune = Off.
   TuneMode tune = TuneMode::Off;
-  /// Problem-size key for the tuner (min(m, n)).  The factorization
-  /// drivers stamp it from the matrix when left 0, so callers never set
-  /// it; pre-setting is only useful to warm a profile entry up front.
+  /// Problem-size key for the tuner (min(m, n)).  resolve() stamps it
+  /// from the matrix when left 0, so callers never set it; pre-setting
+  /// is only useful to warm a profile entry up front.
   int tune_n = 0;
 
-  int resolved_threads() const;
+  int resolved_threads() const;  ///< `threads`, 0 = all hardware threads
+  /// {pr, pc} when both are set, else the near-square grid for
+  /// resolved_threads().
   layout::Grid resolved_grid() const;
   /// `dratio` clamped to [0, 1] (out-of-range values warn once per
-  /// process), with TuneMode::Auto/Force substituting the tuned fraction.
+  /// process).
   double resolved_dratio() const;
-  /// Tile size actually used by the Matrix-level drivers: `b`, or the
-  /// tuned tile size under Auto/Force once tune_n is known.  The
-  /// PackedMatrix-level entry points keep the caller's packing (a packed
-  /// matrix's b cannot be re-chosen after the fact).
-  int resolved_b() const;
-  /// The registry key actually used: `engine` when set, else the tuned
-  /// engine under Auto/Force, "hybrid" otherwise.
+  int resolved_b() const;  ///< `b`
+  /// The registry key: `engine`, or "hybrid" when it is empty.
   std::string resolved_engine() const;
-  /// `lookahead_depth`, or the tuned window under Auto/Force.
-  int resolved_lookahead() const;
 };
+
+/// `opt` with every derived value written into its fields, for one m x n
+/// job on `session`: threads (0 = session.threads()), tune_n (0 =
+/// min(m, n)), under TuneMode::Auto/Force the tuned b, dratio, engine
+/// (unless set) and lookahead_depth, then the clamped dratio, the engine
+/// ("hybrid" when empty) and the grid as pr/pc.  The result has tune =
+/// Off, so resolving it again changes nothing.  This is the one place
+/// that consults the tuner (tune::decision_for), and every driver calls
+/// it once per job: pack_for, the PackedMatrix-level getrf / potrf /
+/// getrf_incpiv (which then keep the b of the caller's packing) and
+/// batched_run.
+Options resolve(const Options& opt, int m, int n,
+                const sched::Session& session);
 
 struct Stats {
   double factor_seconds = 0.0;  // engine run + deferred left swaps
@@ -168,7 +181,8 @@ struct Factorization {
 class GetrfJob {
  public:
   /// Builds the plan and runtime for `a`, which must have been packed
-  /// with opt.b and opt.resolved_grid() and must outlive the job.  With
+  /// with opt.b and opt.resolved_grid() and must outlive the job.  `opt`
+  /// is read as set (pass it through resolve() for tuning).  With
   /// opt.precision == Float32 the tasks run on an internally converted
   /// same-geometry float copy, and finish() writes the factors back into
   /// `a` (float -> double conversion is exact, so `a` then holds the
@@ -207,44 +221,38 @@ class GetrfJob {
   std::unique_ptr<Impl> impl_;
 };
 
-/// Factor a packed matrix in place on a caller-provided session: the
-/// session's pinned team executes the DAG under the engine named by
-/// opt.resolved_engine() (cached in the session), and the run's counters
-/// fold into session.totals().  The PackedMatrix must have been packed
-/// with opt.b and opt.resolved_grid().  opt.threads does not resize the
-/// team (the session owns its lifetime) but still feeds resolved_grid()
-/// — pin pr/pc when bit-identity across team sizes matters.
+/// Factor a packed matrix in place on a caller-provided session: `opt`
+/// is resolved for the packed shape (keeping the packing's b), the
+/// session's pinned team executes the DAG under the resolved engine
+/// (cached in the session), and the run's counters fold into
+/// session.totals().  The plan follows the packing's grid; opt.threads
+/// does not resize the team (the session owns its lifetime).
 Factorization getrf(layout::PackedMatrix& a, const Options& opt,
                     sched::Session& session);
 
-/// One-shot: an ephemeral session is created for the call (team spawned
-/// and torn down).  If `team` is non-null the call borrows it instead.
-Factorization getrf(layout::PackedMatrix& a, const Options& opt,
-                    sched::ThreadTeam* team = nullptr);
-
-/// Convenience: packs `a` into opt.layout, factors, and unpacks the
-/// combined L and U factors back into `a` (column-major, LAPACK getrf
-/// layout).
+/// Convenience: packs `a` into opt.layout (pack_for, which throws
+/// std::invalid_argument for b < 1), factors, and unpacks the combined L
+/// and U factors back into `a` (column-major, LAPACK getrf layout).
 Factorization getrf(layout::Matrix& a, const Options& opt);
 
 /// Session variant of the column-major convenience driver.
 Factorization getrf(layout::Matrix& a, const Options& opt,
                     sched::Session& session);
 
-/// The Matrix-level drivers' pack: stamps `opt` with the session's
-/// thread count, the tune key and the resolved tile size (opt.b), then
-/// packs `a` (only read) into opt.layout on the session team, each owner's
-/// tiles first-touched by the thread that will factor them.  `opt` is
-/// then the Options to factor the result with.
+/// The Matrix-level drivers' boundary step (getrf, potrf, gesv,
+/// gesv_mixed).  First it checks the call, in Release builds too, with
+/// the checks and messages of core::validate (batch.h): `rhs`, when
+/// given, needs a square `a` with as many rows; `square` (Cholesky) asks
+/// for a square `a`; opt.b must be at least 1.  A bad call throws
+/// std::invalid_argument before anything is allocated.  Then it resolves
+/// `opt` (resolve()) and packs `a` (only read) into opt.layout on the
+/// session team, each owner's tiles first-touched by the thread that
+/// will factor them.  `opt` is then the Options to factor the result
+/// with.
 layout::PackedMatrix pack_for(const layout::Matrix& a, Options& opt,
-                              sched::Session& session);
-
-/// Out-of-place column-major driver: packs straight from `a` (only
-/// read — no defensive copy), factors, and unpacks the combined L and U
-/// factors into `lu` through unpack_factors().  `lu` may be `a` itself,
-/// which is exactly the in-place driver above.
-Factorization getrf(const layout::Matrix& a, layout::Matrix& lu,
-                    const Options& opt, sched::Session& session);
+                              sched::Session& session,
+                              const layout::Matrix* rhs = nullptr,
+                              bool square = false);
 
 /// Writes the factored `p` into `lu` (column-major), first allocating it
 /// with Matrix::uninitialized when its shape differs from p's.  Above
@@ -264,11 +272,9 @@ void unpack_factors(const layout::PackedMatrix& p, layout::Matrix& lu,
 int team_share(std::size_t bytes, int team_size);
 
 /// `opt` with the tuner's problem-size key stamped from the matrix shape
-/// (min(m, n)) when tuning is on and the caller left tune_n at 0 — the
-/// single helper every driver (CALU, Cholesky, the batch layer) runs its
-/// Options through before consulting the resolved_*() accessors, so one
-/// factorization's dratio, b, engine, and lookahead all come from the
-/// same profile entry.
+/// (min(m, n)) when tuning is on and the caller left tune_n at 0.  For
+/// hand-rolled step sequences; the drivers get the same key from
+/// resolve().
 Options with_tune_key(const Options& opt, int m, int n);
 
 /// Engine RunHooks from Options — the single source for the Options →
@@ -278,16 +284,6 @@ Options with_tune_key(const Options& opt, int m, int n);
 /// keeps it alive through the run and reads its delta stats afterwards.
 sched::RunHooks run_hooks_from(const Options& opt, int team_size,
                                std::unique_ptr<noise::Injector>& injector);
-
-/// `opt` sized for `session`: with the default thread count (threads = 0
-/// and no explicit pr/pc grid) it gets threads = session.threads().
-/// Otherwise resolved_grid() would size the grid from the calling
-/// thread's affinity mask, which a pinned session has narrowed to one
-/// cpu — a 1x1 grid that leaves all static work on one thread.  The
-/// session-taking Matrix-level drivers (getrf, gesv, potrf) and the
-/// batch layer run their Options through it.
-Options with_session_threads(const Options& opt,
-                             const sched::Session& session);
 
 /// SessionOptions from Options — likewise the single source for the
 /// Options → session wiring every one-shot ("ephemeral session, run

@@ -167,8 +167,7 @@ struct PotrfJob::Impl {
 };
 
 PotrfJob::PotrfJob(layout::PackedMatrix& a, const Options& opt)
-    : impl_(std::make_unique<Impl>(
-          a, with_tune_key(opt, a.tiling().m, a.tiling().n))) {}
+    : impl_(std::make_unique<Impl>(a, opt)) {}
 
 PotrfJob::~PotrfJob() = default;
 PotrfJob::PotrfJob(PotrfJob&&) noexcept = default;
@@ -192,7 +191,8 @@ Factorization PotrfJob::finish() {
 
 Factorization potrf(layout::PackedMatrix& a, const Options& opt_in,
                     sched::Session& session) {
-  const Options opt = with_tune_key(opt_in, a.tiling().m, a.tiling().n);
+  Options opt = resolve(opt_in, a.tiling().m, a.tiling().n, session);
+  opt.b = a.tiling().b;  // the caller's packing fixed the tile size
   PotrfJob job(a, opt);
   std::unique_ptr<noise::Injector> injector;
   sched::RunHooks hooks = run_hooks_from(opt, session.threads(), injector);
@@ -200,7 +200,7 @@ Factorization potrf(layout::PackedMatrix& a, const Options& opt_in,
   auto body = [&job](int id, int tid) { job.exec(id, tid); };
   const auto t0 = std::chrono::steady_clock::now();
   const sched::EngineStats engine_stats =
-      session.run(job.graph(), body, hooks, opt.resolved_engine());
+      session.run(job.graph(), body, hooks, opt.engine);
   Factorization f = job.finish();
   f.stats.engine = engine_stats;
   f.stats.factor_seconds =
@@ -215,24 +215,10 @@ Factorization potrf(layout::PackedMatrix& a, const Options& opt_in,
   return f;
 }
 
-Factorization potrf(layout::PackedMatrix& a, const Options& opt,
-                    sched::ThreadTeam* team) {
-  if (team != nullptr) {
-    sched::Session borrowed(*team);
-    return potrf(a, opt, borrowed);
-  }
-  sched::Session ephemeral(session_options_from(opt));
-  return potrf(a, opt, ephemeral);
-}
-
 Factorization potrf(layout::Matrix& a, const Options& opt_in,
                     sched::Session& session) {
-  Options opt =
-      with_tune_key(with_session_threads(opt_in, session), a.rows(), a.cols());
-  opt.b = opt.resolved_b();
-  layout::PackedMatrix p =
-      layout::PackedMatrix::pack(a, opt.layout, opt.b, opt.resolved_grid(),
-                                 owner_runner_from(opt, session.team()));
+  Options opt = opt_in;
+  layout::PackedMatrix p = pack_for(a, opt, session, nullptr, true);
   Factorization f = potrf(p, opt, session);
   unpack_factors(p, a, opt, session.team());
   return f;

@@ -17,7 +17,6 @@
 #include "src/layout/matrix.h"
 #include "src/layout/packed.h"
 #include "src/sched/session.h"
-#include "src/sched/thread_team.h"
 
 namespace calu::core {
 
@@ -55,12 +54,9 @@ class PotrfJob {
 Factorization potrf(layout::PackedMatrix& a, const Options& opt,
                     sched::Session& session);
 
-/// One-shot: an ephemeral session is created for the call; a non-null
-/// `team` is borrowed instead.
-Factorization potrf(layout::PackedMatrix& a, const Options& opt,
-                    sched::ThreadTeam* team = nullptr);
-
-/// Convenience on a column-major matrix: packs, factors, unpacks.
+/// Convenience on a column-major matrix: packs (pack_for, which throws
+/// std::invalid_argument unless `a` is square and b >= 1), factors,
+/// unpacks.
 Factorization potrf(layout::Matrix& a, const Options& opt);
 
 /// Session variant of the column-major convenience driver.

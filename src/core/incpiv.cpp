@@ -95,9 +95,11 @@ sched::TaskGraph build_incpiv_graph(int nt) {
 
 }  // namespace
 
-IncpivFactor getrf_incpiv(layout::PackedMatrix& a, const Options& opt,
+IncpivFactor getrf_incpiv(layout::PackedMatrix& a, const Options& opt_in,
                           sched::Session& session) {
   const layout::Tiling& tl = a.tiling();
+  Options opt = resolve(opt_in, tl.m, tl.n, session);
+  opt.b = tl.b;  // the caller's packing fixed the tile size
   assert(tl.m == tl.n && "incremental pivoting implemented for square A");
   const int nt = tl.mb();
 
@@ -222,7 +224,7 @@ IncpivFactor getrf_incpiv(layout::PackedMatrix& a, const Options& opt,
   // engine the global queue serves it (its static section is simply
   // empty), and any registered engine can be swapped in via Options.
   const auto t0 = std::chrono::steady_clock::now();
-  f.stats.engine = session.run(g, exec, hooks, opt.resolved_engine());
+  f.stats.engine = session.run(g, exec, hooks, opt.engine);
   f.stats.factor_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
@@ -233,12 +235,6 @@ IncpivFactor getrf_incpiv(layout::PackedMatrix& a, const Options& opt,
     f.stats.noise_delta_avg = injector->delta_avg();
   }
   return f;
-}
-
-IncpivFactor getrf_incpiv(layout::PackedMatrix& a, const Options& opt,
-                          sched::ThreadTeam& team) {
-  sched::Session borrowed(team);
-  return getrf_incpiv(a, opt, borrowed);
 }
 
 void IncpivFactor::solve(layout::Matrix& rhs) const {

@@ -23,7 +23,6 @@
 #include "src/layout/matrix.h"
 #include "src/layout/packed.h"
 #include "src/sched/session.h"
-#include "src/sched/thread_team.h"
 
 namespace calu::core {
 
@@ -54,9 +53,5 @@ class IncpivFactor {
 /// (the DAG is all-dynamic, so dratio has no effect).
 IncpivFactor getrf_incpiv(layout::PackedMatrix& a, const Options& opt,
                           sched::Session& session);
-
-/// Borrowing-team variant (legacy drivers and benches).
-IncpivFactor getrf_incpiv(layout::PackedMatrix& a, const Options& opt,
-                          sched::ThreadTeam& team);
 
 }  // namespace calu::core

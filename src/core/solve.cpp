@@ -337,13 +337,16 @@ SolveResult gesv_mixed(const layout::Matrix& a, const layout::Matrix& b,
 }
 
 SolveResult gesv_mixed(const layout::Matrix& a, const layout::Matrix& b,
-                       const Options& opt, sched::Session& session) {
-  assert(a.rows() == a.cols() && a.rows() == b.rows());
+                       const Options& opt_in, sched::Session& session) {
   SolveResult res;
-  Options fopt = opt;
-  fopt.precision = Precision::Float32;
+  Options opt = opt_in;
+  opt.precision = Precision::Float32;
   layout::Matrix lu;
-  res.factorization = getrf(a, lu, fopt, session);  // float-accuracy factors
+  {  // the packed copy is freed before refinement, as in getrf
+    layout::PackedMatrix p = pack_for(a, opt, session, &b);
+    res.factorization = getrf(p, opt, session);  // float-accuracy factors
+    unpack_factors(p, lu, opt, session.team());
+  }
   refine_mixed(a, b, lu, opt, session, res);
   return res;
 }
@@ -356,10 +359,9 @@ SolveResult gesv(const layout::Matrix& a, const layout::Matrix& b,
 
 SolveResult gesv(const layout::Matrix& a, const layout::Matrix& b,
                  const Options& opt_in, sched::Session& session) {
-  assert(a.rows() == a.cols() && a.rows() == b.rows());
   SolveResult res;
   Options opt = opt_in;
-  layout::PackedMatrix p = pack_for(a, opt, session);
+  layout::PackedMatrix p = pack_for(a, opt, session, &b);
   res.factorization = getrf(p, opt, session);
   solve_factored(a, b, p, res.factorization.ipiv, opt.max_refine, res, 0.0,
                  &session.team());

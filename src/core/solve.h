@@ -98,7 +98,9 @@ void solve_factored(const layout::Matrix& a, const layout::Matrix& b,
 /// One-shot: spawns an ephemeral session (thread team) for the call.
 ///
 /// Data flow (no copy of A; A and b are only read):
-///   1. pack      A -> PackedMatrix (pack_for), owner-parallel first touch;
+///   1. pack      A -> PackedMatrix (pack_for, which first throws
+///                std::invalid_argument unless A is square with as many
+///                rows as b), owner-parallel first touch;
 ///   2. factor    the CALU DAG on the session team, then the left swaps;
 ///   3. solve     solve_factored on the packed factors: the narrow getrs
 ///                reads the tiles in place, its off-diagonal updates and
@@ -134,7 +136,8 @@ SolveResult gesv(const layout::Matrix& a, const layout::Matrix& b,
 /// never worse than gesv.  opt.max_refine = 0 accepts the float-accuracy
 /// solution as-is (no refinement, fallback only on a non-finite result).
 /// opt.precision is ignored (the factorization precision is the point of
-/// the call).
+/// the call).  A bad shape or tile size throws std::invalid_argument,
+/// as in gesv.
 SolveResult gesv_mixed(const layout::Matrix& a, const layout::Matrix& b,
                        const Options& opt);
 

@@ -310,9 +310,10 @@ MeasureFn real_measure(int reps) {
 }
 
 Autotuner& global_autotuner() {
-  // Leaked on purpose: Options::resolved_*() may run during static
-  // teardown of user code, and a destructed tuner there is a crash for
-  // zero benefit (the profile is saved after every calibration).
+  // Leaked on purpose: core::resolve() may run during static teardown of
+  // user code (a driver called from a static destructor), and a
+  // destructed tuner there is a crash for zero benefit (the profile is
+  // saved after every calibration).
   static Autotuner* tuner = new Autotuner(
       std::make_shared<FileProfileStore>(default_profile_path()),
       real_measure(), TunerConfig{});

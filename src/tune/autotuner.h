@@ -18,11 +18,11 @@
 //                   (ProfileStore seam; $CALU_TUNE_PROFILE), so the
 //                   calibration price is paid once per machine.
 //
-// Consumers never talk to this header directly: core::Options grows
-// `tune = TuneMode::{Off,Auto,Force}` and its resolved_dratio() /
-// resolved_b() / resolved_engine() / resolved_lookahead() consult
-// decision_for(), so Session, Service, and batched_run inherit tuned
-// choices with zero call-site changes.
+// Consumers never talk to this header directly: core::Options carries
+// `tune = TuneMode::{Off,Auto,Force}`, and core::resolve() — called once
+// per job by every driver and by batched_run — writes decision_for()'s
+// choice into the job's Options.  Session, Service, and batched_run
+// inherit tuned choices with zero call-site changes.
 #pragma once
 
 #include <functional>
@@ -152,7 +152,8 @@ class Autotuner {
 
 /// Process-wide tuner: FileProfileStore at default_profile_path() and the
 /// real (wall-clock) measure function.  Constructed lazily on first use;
-/// never destroyed (resolutions may happen during static teardown).
+/// never destroyed (a driver run from a static destructor may still
+/// resolve a tuned job).
 Autotuner& global_autotuner();
 
 /// The production MeasureFn: factors one random n×n matrix (n from the
@@ -163,8 +164,8 @@ MeasureFn real_measure(int reps = 1);
 
 /// Bridges core::Options (TuneMode::Auto/Force) to the global tuner:
 /// builds the Key from {tune_n, resolved_threads, active kernel variant,
-/// system topology} and resolves it.  Called by the resolved_*()
-/// accessors in core/calu.cpp.
+/// system topology} and resolves it.  Its one caller is core::resolve()
+/// (core/calu.cpp).
 Decision decision_for(const core::Options& opt);
 
 }  // namespace calu::tune

@@ -27,8 +27,8 @@ TEST_P(GetrfPpTest, Residual) {
   const auto [m, n, b, threads] = GetParam();
   Matrix a = Matrix::random(m, n, 201);
   Matrix a0 = a;
-  sched::ThreadTeam team(threads, false);
-  auto f = core::getrf_pp(a, b, team);
+  sched::Session session(sched::SessionOptions{threads, false});
+  auto f = core::getrf_pp(a, b, session.team());
   EXPECT_LT(blas::lu_residual(m, n, a0.data(), a0.ld(), a.data(), a.ld(),
                               f.ipiv.data(),
                               static_cast<int>(f.ipiv.size())),
@@ -49,8 +49,8 @@ TEST(GetrfPp, MatchesUnblockedGepp) {
   const int n = 90, b = 16;
   Matrix a = Matrix::random(n, n, 202);
   Matrix ref = a;
-  sched::ThreadTeam team(4, false);
-  auto f = core::getrf_pp(a, b, team);
+  sched::Session session(sched::SessionOptions{4, false});
+  auto f = core::getrf_pp(a, b, session.team());
   std::vector<int> ipiv(n);
   blas::getf2(n, n, ref.data(), ref.ld(), ipiv.data());
   EXPECT_EQ(f.ipiv, ipiv);
@@ -65,8 +65,8 @@ TEST(GetrfPp, SolveRoundTrip) {
   Matrix b(n, 2);
   blas::gemm(blas::Trans::No, blas::Trans::No, n, 2, n, 1.0, a.data(), a.ld(),
              x_true.data(), x_true.ld(), 0.0, b.data(), b.ld());
-  sched::ThreadTeam team(2, false);
-  auto f = core::getrf_pp(a, 16, team);
+  sched::Session session(sched::SessionOptions{2, false});
+  auto f = core::getrf_pp(a, 16, session.team());
   core::getrs(a, f.ipiv, b);
   EXPECT_LT(test::max_abs_diff(b, x_true), 1e-8);
 }
@@ -81,8 +81,8 @@ TEST_P(IncpivTest, SolveResidualSmall) {
   Matrix a = Matrix::random(n, n, 205);
   PackedMatrix p =
       PackedMatrix::pack(a, Layout::ColumnMajor, b, Grid::best(threads));
-  sched::ThreadTeam team(threads, false);
-  auto f = core::getrf_incpiv(p, core::Options{}, team);
+  sched::Session session(sched::SessionOptions{threads, false});
+  auto f = core::getrf_incpiv(p, core::Options{}, session);
   Matrix x = Matrix::random(n, 3, 206);
   Matrix rhs(n, 3);
   blas::gemm(blas::Trans::No, blas::Trans::No, n, 3, n, 1.0, a.data(), a.ld(),
@@ -106,8 +106,8 @@ TEST(Incpiv, WorksOnTiledLayouts) {
   Matrix a = Matrix::random(n, n, 207);
   for (Layout l : {Layout::BlockCyclic, Layout::TwoLevelBlock}) {
     PackedMatrix p = PackedMatrix::pack(a, l, b, Grid{2, 2});
-    sched::ThreadTeam team(4, false);
-    auto f = core::getrf_incpiv(p, core::Options{}, team);
+    sched::Session session(sched::SessionOptions{4, false});
+    auto f = core::getrf_incpiv(p, core::Options{}, session);
     Matrix x = Matrix::random(n, 1, 208);
     Matrix rhs(n, 1);
     blas::gemm(blas::Trans::No, blas::Trans::No, n, 1, n, 1.0, a.data(),
@@ -122,8 +122,8 @@ TEST(Incpiv, DiagonallyDominantStaysPivotFree) {
   const int n = 48, b = 16;
   Matrix a = Matrix::diag_dominant(n, 209);
   PackedMatrix p = PackedMatrix::pack(a, Layout::ColumnMajor, b, Grid{2, 2});
-  sched::ThreadTeam team(4, false);
-  auto f = core::getrf_incpiv(p, core::Options{}, team);
+  sched::Session session(sched::SessionOptions{4, false});
+  auto f = core::getrf_incpiv(p, core::Options{}, session);
   Matrix x = Matrix::random(n, 1, 210);
   Matrix rhs(n, 1);
   blas::gemm(blas::Trans::No, blas::Trans::No, n, 1, n, 1.0, a.data(), a.ld(),
@@ -137,8 +137,8 @@ TEST(Incpiv, TaskCountMatchesTiledLu) {
   const int n = 80, b = 16;  // nt = 5
   Matrix a = Matrix::random(n, n, 211);
   PackedMatrix p = PackedMatrix::pack(a, Layout::ColumnMajor, b, Grid{1, 1});
-  sched::ThreadTeam team(2, false);
-  auto f = core::getrf_incpiv(p, core::Options{}, team);
+  sched::Session session(sched::SessionOptions{2, false});
+  auto f = core::getrf_incpiv(p, core::Options{}, session);
   const int nt = 5;
   int expected = nt;                        // GETRF
   expected += nt * (nt - 1);                // GESSM + TSTRF

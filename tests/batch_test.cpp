@@ -169,8 +169,8 @@ TEST(Session, IncpivBitIdenticalToOneShot) {
 
   layout::PackedMatrix p_ref = layout::PackedMatrix::pack(
       a0, layout::Layout::TwoLevelBlock, b, layout::Grid{2, 2});
-  sched::ThreadTeam team_ref(4, false);
-  core::IncpivFactor f_ref = core::getrf_incpiv(p_ref, opt, team_ref);
+  sched::Session session_ref(sched::SessionOptions{4, false});
+  core::IncpivFactor f_ref = core::getrf_incpiv(p_ref, opt, session_ref);
   Matrix x_ref = rhs0;
   f_ref.solve(x_ref);
 
@@ -222,16 +222,6 @@ TEST(Session, ThreadsSpawnOncePerSession) {
     core::gesv(as[i], bs[i], opt);
   EXPECT_EQ(sched::ThreadTeam::teams_constructed(),
             teams1 + static_cast<std::uint64_t>(as.size()));
-}
-
-TEST(Session, BorrowedTeamSpawnsNothing) {
-  sched::ThreadTeam team(2, false);
-  const std::uint64_t teams0 = sched::ThreadTeam::teams_constructed();
-  sched::Session session(team);
-  Matrix a = Matrix::random(64, 64, 1701);
-  core::getrf(a, batch_options("hybrid", true), session);
-  EXPECT_EQ(sched::ThreadTeam::teams_constructed(), teams0);
-  EXPECT_EQ(session.threads(), 2);
 }
 
 // ------------------------------------------------------ session state ---

@@ -2,6 +2,7 @@
 // space (Table 1): schedule x layout x shape x threads x dratio.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -248,6 +249,21 @@ TEST(CaluSpecial, BlockSizeOne) {
   o.threads = 2;
   o.pin_threads = false;
   EXPECT_LT(factor_and_residual(24, 24, o, 61), 100.0);
+}
+
+TEST(CaluSpecial, RejectsTileSizeZero) {
+  // Checked in Release builds too: unchecked, b = 0 reaches the tiling
+  // and dies of SIGFPE.  The throw comes before A is touched.
+  sched::Session session(sched::SessionOptions{2, false});
+  Options o;
+  o.b = 0;
+  o.threads = 2;
+  o.pin_threads = false;
+  Matrix a = Matrix::random(64, 64, 990);
+  const Matrix a0 = a;
+  EXPECT_THROW(core::getrf(a, o, session), std::invalid_argument);
+  EXPECT_TRUE(test::same_bits(a, a0));
+  EXPECT_EQ(session.runs(), 0u);
 }
 
 TEST(CaluSpecial, VeryTallPanelMatrix) {

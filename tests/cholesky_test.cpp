@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -198,6 +199,21 @@ TEST(Cholesky, NoiseRobustAndDeterministic) {
   o.noise.mean_us = 30.0;
   core::potrf(noisy, o);
   EXPECT_EQ(test::max_abs_diff(clean, noisy), 0.0);
+}
+
+TEST(Cholesky, RejectsNonSquareA) {
+  // Checked in Release builds too: unchecked, a 64x48 A crashes the
+  // tile kernels (SIGSEGV).  The throw comes before A is touched.
+  sched::Session session(sched::SessionOptions{2, false});
+  Options o;
+  o.b = 32;
+  o.threads = 2;
+  o.pin_threads = false;
+  Matrix a = Matrix::random(64, 48, 991);
+  const Matrix a0 = a;
+  EXPECT_THROW(core::potrf(a, o, session), std::invalid_argument);
+  EXPECT_TRUE(test::same_bits(a, a0));
+  EXPECT_EQ(session.runs(), 0u);
 }
 
 TEST(Cholesky, TaskCountIsClosedForm) {

@@ -17,7 +17,7 @@ using layout::Matrix;
 using layout::PackedMatrix;
 
 TEST(Integration, TeamReuseAcrossFactorizations) {
-  sched::ThreadTeam team(4, false);
+  sched::Session session(sched::SessionOptions{4, false});
   for (int round = 0; round < 5; ++round) {
     const int n = 64 + 16 * round;
     Matrix a = Matrix::random(n, n, 500 + round);
@@ -28,7 +28,7 @@ TEST(Integration, TeamReuseAcrossFactorizations) {
     o.pin_threads = false;
     PackedMatrix p =
         PackedMatrix::pack(a, o.layout, o.b, o.resolved_grid());
-    core::Factorization f = core::getrf(p, o, &team);
+    core::Factorization f = core::getrf(p, o, session);
     p.unpack(a);
     EXPECT_LT(blas::lu_residual(n, n, a0.data(), a0.ld(), a.data(), a.ld(),
                                 f.ipiv.data(),
@@ -39,18 +39,18 @@ TEST(Integration, TeamReuseAcrossFactorizations) {
 }
 
 TEST(Integration, TeamSharedBetweenLuAndCholesky) {
-  sched::ThreadTeam team(4, false);
+  sched::Session session(sched::SessionOptions{4, false});
   Options o;
   o.b = 16;
   o.threads = 4;
   o.pin_threads = false;
   Matrix a = Matrix::random(80, 80, 510);
   PackedMatrix pa = PackedMatrix::pack(a, o.layout, o.b, o.resolved_grid());
-  core::getrf(pa, o, &team);
+  core::getrf(pa, o, session);
   Matrix s = core::spd_matrix(80, 511);
   Matrix s0 = s;
   PackedMatrix ps = PackedMatrix::pack(s, o.layout, o.b, o.resolved_grid());
-  core::potrf(ps, o, &team);
+  core::potrf(ps, o, session);
   ps.unpack(s);
   EXPECT_LT(core::cholesky_residual(s0, s), 100.0);
 }
@@ -91,7 +91,8 @@ TEST(Integration, PackedAndMatrixLevelAgree) {
   Matrix a2 = a1;
   core::Factorization f1 = core::getrf(a1, o);  // Matrix-level convenience
   PackedMatrix p = PackedMatrix::pack(a2, o.layout, o.b, o.resolved_grid());
-  core::Factorization f2 = core::getrf(p, o, nullptr);
+  sched::Session session(core::session_options_from(o));
+  core::Factorization f2 = core::getrf(p, o, session);
   p.unpack(a2);
   EXPECT_EQ(f1.ipiv, f2.ipiv);
   EXPECT_EQ(test::max_abs_diff(a1, a2), 0.0);

@@ -4,10 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <thread>
 
 #include "src/blas/blas.h"
+#include "src/core/batch.h"
 #include "src/core/calu.h"
 #include "src/core/solve.h"
 #include "src/layout/matrix.h"
@@ -370,6 +372,45 @@ TEST(Gesv, DefaultThreadsOnPinnedSessionUseTheSessionTeam) {
     EXPECT_TRUE(test::same_bits(got.x, want.x));
     EXPECT_EQ(got.factorization.ipiv, want.factorization.ipiv);
   }).join();
+}
+
+// The Matrix-level drivers check their input in Release builds too
+// (pack_for) and throw before anything is packed.  Unchecked, the row
+// mismatch aborts in malloc and the non-square A gives a wrong answer
+// with no error.
+Options check_opts() {
+  Options o;
+  o.b = 32;
+  o.threads = 2;
+  o.pin_threads = false;
+  return o;
+}
+
+TEST(Gesv, RejectsRhsRowMismatch) {
+  sched::Session session(sched::SessionOptions{2, false});
+  const Matrix a = Matrix::random(64, 64, 380);
+  const Matrix b = Matrix::random(32, 1, 381);
+  try {
+    core::gesv(a, b, check_opts(), session);
+    ADD_FAILURE() << "gesv accepted a 32-row b for a 64x64 A";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    const char* want = core::job_error_message(core::JobError::RhsRows);
+    EXPECT_NE(what.find(want), std::string::npos) << what;
+  }
+  EXPECT_THROW(core::gesv_mixed(a, b, check_opts(), session),
+               std::invalid_argument);
+  EXPECT_EQ(session.runs(), 0u);
+}
+
+TEST(Gesv, RejectsNonSquareA) {
+  sched::Session session(sched::SessionOptions{2, false});
+  const Matrix a = Matrix::random(64, 48, 382);
+  const Matrix b = Matrix::random(64, 1, 383);
+  EXPECT_THROW(core::gesv(a, b, check_opts(), session), std::invalid_argument);
+  EXPECT_THROW(core::gesv_mixed(a, b, check_opts(), session),
+               std::invalid_argument);
+  EXPECT_EQ(session.runs(), 0u);
 }
 
 TEST(SolveFactored, TeamSplitResidualMatchesSerialBits) {

@@ -436,7 +436,8 @@ TEST(FirstTouchPack, FactorizationMatchesSerialPack) {
   layout::PackedMatrix p =
       layout::PackedMatrix::pack(a_serial, opt.layout, opt.b,
                                  opt.resolved_grid());
-  core::Factorization ref = core::getrf(p, opt, nullptr);
+  sched::Session session(core::session_options_from(opt));
+  core::Factorization ref = core::getrf(p, opt, session);
   p.unpack(a_serial);
 
   core::Factorization f = core::getrf(a, opt);

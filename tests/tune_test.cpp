@@ -18,7 +18,10 @@
 #include <thread>
 #include <vector>
 
+#include "src/core/batch.h"
 #include "src/core/calu.h"
+#include "src/core/solve.h"
+#include "src/sched/session.h"
 #include "src/tune/autotuner.h"
 #include "src/tune/profile.h"
 
@@ -481,41 +484,130 @@ TEST(TuneOptions, WithTuneKeyStampsProblemSize) {
   EXPECT_EQ(core::with_tune_key(on, 300, 200).tune_n, 777);
 }
 
-TEST(TuneOptions, AutoResolvesThroughGlobalTuner) {
-  // Swap the global tuner's measure for the synthetic one so this stays
-  // wall-clock-free, then check every resolved_*() accessor returns a
-  // value from the candidate universe.  (Under the CI degraded lane
-  // CALU_TUNE_PROFILE=/dev/null this exercises the no-persistence path.)
-  tune::global_autotuner().set_measure(
-      fake_measure(std::make_shared<std::atomic<int>>(0)));
+/// Swaps the global tuner's measure for the synthetic one for one test,
+/// so it stays wall-clock-free, and restores the production measure for
+/// any later user of the global.  (Under the CI degraded lane
+/// CALU_TUNE_PROFILE=/dev/null these tests exercise the no-persistence
+/// path.)
+struct FakeGlobalMeasure {
+  FakeGlobalMeasure() {
+    tune::global_autotuner().set_measure(
+        fake_measure(std::make_shared<std::atomic<int>>(0)));
+  }
+  ~FakeGlobalMeasure() {
+    tune::global_autotuner().set_measure(tune::real_measure());
+  }
+};
 
+/// Lookups the global tuner has served: profile hits plus calibrations.
+int global_lookups() {
+  const Autotuner& t = tune::global_autotuner();
+  return t.profile_hits() + t.calibrations();
+}
+
+core::Options auto_options() {
   core::Options o;
   o.tune = core::TuneMode::Auto;
-  o.tune_n = 256;
   o.threads = 2;
-  const double dr = o.resolved_dratio();
-  EXPECT_GE(dr, 0.0);
-  EXPECT_LE(dr, 1.0);
-  const int b = o.resolved_b();
-  EXPECT_GE(b, 8);
-  EXPECT_LE(b, 256);
-  const std::string engine = o.resolved_engine();
-  EXPECT_TRUE(engine == "hybrid" || engine == "priority-lookahead" ||
-              engine == "numa-hierarchical")
-      << engine;
-  const int look = o.resolved_lookahead();
-  EXPECT_TRUE(look == 2 || look == 4) << look;
+  return o;
+}
+
+TEST(TuneOptions, AutoResolvesThroughGlobalTuner) {
+  // resolve() writes the tuned knobs into the fields: each from the
+  // candidate universe, with tuning then off.
+  FakeGlobalMeasure fake;
+  sched::Session session(sched::SessionOptions{2, false});
+  const core::Options o = auto_options();
+  const core::Options r = core::resolve(o, 256, 256, session);
+  EXPECT_EQ(r.tune, core::TuneMode::Off);
+  EXPECT_EQ(r.tune_n, 256);
+  EXPECT_GE(r.dratio, 0.0);
+  EXPECT_LE(r.dratio, 1.0);
+  EXPECT_GE(r.b, 8);
+  EXPECT_LE(r.b, 256);
+  EXPECT_TRUE(r.engine == "hybrid" || r.engine == "priority-lookahead" ||
+              r.engine == "numa-hierarchical")
+      << r.engine;
+  EXPECT_TRUE(r.lookahead_depth == 2 || r.lookahead_depth == 4)
+      << r.lookahead_depth;
 
   // Explicit knobs still win over the tuner where the contract says so.
   core::Options pinned = o;
   pinned.engine = "hybrid";
-  EXPECT_EQ(pinned.resolved_engine(), "hybrid");
+  EXPECT_EQ(core::resolve(pinned, 256, 256, session).engine, "hybrid");
   pinned.tune = core::TuneMode::Off;
-  EXPECT_DOUBLE_EQ(pinned.resolved_dratio(), pinned.dratio);
-  EXPECT_EQ(pinned.resolved_b(), pinned.b);
+  const core::Options off = core::resolve(pinned, 256, 256, session);
+  EXPECT_DOUBLE_EQ(off.dratio, pinned.dratio);
+  EXPECT_EQ(off.b, pinned.b);
+}
 
-  // Restore the production measure for any later user of the global.
-  tune::global_autotuner().set_measure(tune::real_measure());
+TEST(TuneOptions, ResolveIsIdempotentAndAccessorsArePure) {
+  FakeGlobalMeasure fake;
+  sched::Session session(sched::SessionOptions{2, false});
+  core::Options plain;
+  plain.dratio = 1.5;  // clamped once, by the first resolve
+  for (const core::Options& o : {auto_options(), plain}) {
+    const core::Options once = core::resolve(o, 300, 200, session);
+    const int before = global_lookups();
+    const core::Options twice = core::resolve(once, 300, 200, session);
+    EXPECT_EQ(global_lookups(), before);  // tune is Off after one resolve
+    EXPECT_EQ(twice.threads, once.threads);
+    EXPECT_EQ(twice.pr, once.pr);
+    EXPECT_EQ(twice.pc, once.pc);
+    EXPECT_EQ(twice.b, once.b);
+    EXPECT_EQ(twice.dratio, once.dratio);
+    EXPECT_EQ(twice.engine, once.engine);
+    EXPECT_EQ(twice.lookahead_depth, once.lookahead_depth);
+    EXPECT_EQ(twice.tune_n, once.tune_n);
+    EXPECT_EQ(twice.tune, once.tune);
+    EXPECT_EQ(once.tune_n, 200);
+    EXPECT_EQ(once.threads, 2);
+  }
+  EXPECT_EQ(core::resolve(plain, 64, 64, session).dratio, 1.0);
+
+  // The accessors read the fields: a tune = Auto Options asks the tuner
+  // nothing through them.
+  core::Options o = auto_options();
+  o.tune_n = 256;
+  const int before = global_lookups();
+  EXPECT_EQ(o.resolved_b(), o.b);
+  EXPECT_EQ(o.resolved_dratio(), o.dratio);
+  EXPECT_EQ(o.resolved_engine(), "hybrid");
+  EXPECT_EQ(o.resolved_threads(), 2);
+  EXPECT_EQ(o.resolved_grid().size(), 2);
+  EXPECT_EQ(global_lookups(), before);
+}
+
+TEST(TuneOptions, OneTunerLookupPerJob) {
+  FakeGlobalMeasure fake;
+  sched::Session session(sched::SessionOptions{2, false});
+  const core::Options o = auto_options();
+  const layout::Matrix a = layout::Matrix::random(64, 64, 41);
+  const layout::Matrix b = layout::Matrix::random(64, 1, 42);
+
+  int before = global_lookups();
+  core::gesv(a, b, o, session);
+  EXPECT_EQ(global_lookups() - before, 1) << "gesv";
+
+  layout::Matrix lu = a;
+  before = global_lookups();
+  core::getrf(lu, o, session);
+  EXPECT_EQ(global_lookups() - before, 1) << "getrf";
+
+  for (core::BatchMode mode :
+       {core::BatchMode::Fused, core::BatchMode::Sequential}) {
+    std::vector<layout::Matrix> as(8, a);
+    std::vector<core::BatchJob> jobs(8);
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+      jobs[i].a = &as[i];
+      jobs[i].rhs = &b;
+      jobs[i].options = o;
+    }
+    before = global_lookups();
+    core::batched_run(jobs, session, mode);
+    EXPECT_EQ(global_lookups() - before, 8)
+        << (mode == core::BatchMode::Fused ? "fused" : "sequential");
+  }
 }
 
 // ------------------------------------------------------- stress (TSan) ---
