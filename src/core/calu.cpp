@@ -352,6 +352,12 @@ JobError check_input(const layout::Matrix* a, const layout::Matrix* rhs,
   return JobError::None;
 }
 
+void throw_if_error(JobError e) {
+  if (e != JobError::None)
+    throw std::invalid_argument(std::string("calu::core: ") +
+                                job_error_message(e));
+}
+
 }  // namespace
 
 const char* job_error_message(JobError e) {
@@ -627,16 +633,17 @@ layout::PackedMatrix pack_for(const layout::Matrix& a, Options& opt,
                               const layout::Matrix* rhs, bool square) {
   // A bad shape or tile size would otherwise read and write out of
   // bounds, or divide by zero, where no assert of a Release build looks.
-  const JobError e = check_input(&a, rhs, square, opt.b);
-  if (e != JobError::None)
-    throw std::invalid_argument(std::string("calu::core: ") +
-                                job_error_message(e));
+  throw_if_error(check_input(&a, rhs, square, opt.b));
   // The Matrix-level drivers own the packing, so the tuned tile size that
   // resolve() writes into `b` is the one packed with (GetrfJob's b-match
   // contract then holds by construction).
   opt = resolve(opt, a.rows(), a.cols(), session);
   return layout::PackedMatrix::pack(a, opt.layout, opt.b, opt.resolved_grid(),
                                     owner_runner_from(opt, session.team()));
+}
+
+void require_square(const layout::PackedMatrix& a) {
+  if (a.tiling().m != a.tiling().n) throw_if_error(JobError::NotSquare);
 }
 
 Factorization getrf(layout::Matrix& a, const Options& opt_in,

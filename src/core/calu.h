@@ -254,6 +254,13 @@ layout::PackedMatrix pack_for(const layout::Matrix& a, Options& opt,
                               const layout::Matrix* rhs = nullptr,
                               bool square = false);
 
+/// Throws std::invalid_argument with JobError::NotSquare's message, in
+/// every build type, unless `a` is square.  The square-only
+/// PackedMatrix-level drivers (potrf through PotrfJob, getrf_incpiv) call
+/// it before they build a graph: unchecked, a non-square packing makes
+/// their tile kernels read and write out of bounds.
+void require_square(const layout::PackedMatrix& a);
+
 /// Writes the factored `p` into `lu` (column-major), first allocating it
 /// with Matrix::uninitialized when its shape differs from p's.  Above
 /// the team_share() floor the copy-out runs owner-parallel on `team`

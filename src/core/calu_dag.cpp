@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
 #include <sstream>
 
 namespace calu::core {
@@ -11,16 +10,12 @@ namespace {
 using sched::kDynamicOwner;
 using sched::Task;
 
-// Priority key: DFS order (tile column, step, kind rank).  Lower pops
-// first.  The rank orders tasks sharing (J, K): tournament before finalize
-// before L before pack-L before U before pack-U before S — packs sit
-// directly behind their producer so they run ahead of the S tasks they
-// feed (look-ahead keeps the next panel's operands packed early).
-std::uint64_t prio(int j, int k, int rank) {
-  return (static_cast<std::uint64_t>(j) << 36) |
-         (static_cast<std::uint64_t>(k) << 12) |
-         static_cast<std::uint64_t>(rank);
-}
+// Priority key (sched::dfs_priority): the rank orders tasks sharing
+// (J, K): tournament before finalize before L before pack-L before U
+// before pack-U before S — packs sit directly behind their producer so
+// they run ahead of the S tasks they feed (look-ahead keeps the next
+// panel's operands packed early).
+using sched::dfs_priority;
 
 void add_deps(sched::TaskGraph& g, std::vector<int>& deps, int to) {
   std::sort(deps.begin(), deps.end());
@@ -40,9 +35,7 @@ CaluPlan build_plan(const layout::Tiling& tiling, const layout::Grid& grid,
   plan.pack_panels = pack_panels;
   const int mb = tiling.mb(), nb = tiling.nb();
   plan.npanels = std::min(mb, nb);
-  plan.nstatic = std::clamp(
-      static_cast<int>(std::floor(plan.npanels * (1.0 - dratio))), 0,
-      plan.npanels);
+  plan.nstatic = sched::static_panels(plan.npanels, dratio);
   plan.grouped =
       layout == layout::Layout::BlockCyclic && group_factor > 1;
   plan.group_factor = plan.grouped ? group_factor : 1;
@@ -83,7 +76,7 @@ CaluPlan build_plan(const layout::Tiling& tiling, const layout::Grid& grid,
       t.i = r;
       t.j = k;
       t.aux = static_cast<int>(nodes.size());
-      t.priority = prio(k, k, 0);
+      t.priority = dfs_priority(k, k, 0);
       t.tag = tr * grid.pc + (k % grid.pc);
       t.owner = panel_static ? t.tag : kDynamicOwner;
       leaf.task = g.add_task(t);
@@ -110,7 +103,7 @@ CaluPlan build_plan(const layout::Tiling& tiling, const layout::Grid& grid,
         t.step = k;
         t.j = k;
         t.aux = static_cast<int>(nodes.size());
-        t.priority = prio(k, k, 1);
+        t.priority = dfs_priority(k, k, 1);
         t.tag = merge.thread_row * grid.pc + (k % grid.pc);
         t.owner = panel_static ? t.tag : kDynamicOwner;
         merge.task = g.add_task(t);
@@ -131,7 +124,7 @@ CaluPlan build_plan(const layout::Tiling& tiling, const layout::Grid& grid,
       t.step = k;
       t.j = k;
       t.aux = -1;  // sentinel: finalize
-      t.priority = prio(k, k, 2);
+      t.priority = dfs_priority(k, k, 2);
       t.tag = grid.owner(k, k);
       t.owner = panel_static ? t.tag : kDynamicOwner;
       plan.final_task[k] = g.add_task(t);
@@ -145,7 +138,7 @@ CaluPlan build_plan(const layout::Tiling& tiling, const layout::Grid& grid,
       t.step = k;
       t.i = I;
       t.j = k;
-      t.priority = prio(k, k, 3);
+      t.priority = dfs_priority(k, k, 3);
       t.tag = grid.owner(I, k);
       t.owner = panel_static ? t.tag : kDynamicOwner;
       l_task[I] = g.add_task(t);
@@ -156,7 +149,7 @@ CaluPlan build_plan(const layout::Tiling& tiling, const layout::Grid& grid,
         tp.step = k;
         tp.i = I;
         tp.j = k;
-        tp.priority = prio(k, k, 4);
+        tp.priority = dfs_priority(k, k, 4);
         tp.tag = grid.owner(I, k);
         tp.owner = panel_static ? tp.tag : kDynamicOwner;
         pl_task[I] = g.add_task(tp);
@@ -172,7 +165,7 @@ CaluPlan build_plan(const layout::Tiling& tiling, const layout::Grid& grid,
       tu.step = k;
       tu.i = k;
       tu.j = J;
-      tu.priority = prio(J, k, 5);
+      tu.priority = dfs_priority(J, k, 5);
       tu.tag = grid.owner(k, J);
       tu.owner = col_static ? tu.tag : kDynamicOwner;
       const int u_id = g.add_task(tu);
@@ -191,7 +184,7 @@ CaluPlan build_plan(const layout::Tiling& tiling, const layout::Grid& grid,
         tp.step = k;
         tp.i = k;
         tp.j = J;
-        tp.priority = prio(J, k, 6);
+        tp.priority = dfs_priority(J, k, 6);
         tp.tag = grid.owner(k, J);
         tp.owner = col_static ? tp.tag : kDynamicOwner;
         pu_id = g.add_task(tp);
@@ -212,7 +205,7 @@ CaluPlan build_plan(const layout::Tiling& tiling, const layout::Grid& grid,
             ts.i = I;
             ts.j = J;
             ts.aux = cnt;
-            ts.priority = prio(J, k, 7);
+            ts.priority = dfs_priority(J, k, 7);
             ts.tag = grid.owner(I, J);
             ts.owner = ts.tag;
             const int s_id = g.add_task(ts);
@@ -234,7 +227,7 @@ CaluPlan build_plan(const layout::Tiling& tiling, const layout::Grid& grid,
           ts.i = I;
           ts.j = J;
           ts.aux = 1;
-          ts.priority = prio(J, k, 7);
+          ts.priority = dfs_priority(J, k, 7);
           ts.tag = grid.owner(I, J);
           ts.owner = col_static ? ts.tag : kDynamicOwner;
           const int s_id = g.add_task(ts);

@@ -18,20 +18,15 @@ namespace {
 
 using layout::BlockRef;
 
-std::uint64_t prio(int j, int k, int rank) {
-  return (static_cast<std::uint64_t>(j) << 36) |
-         (static_cast<std::uint64_t>(k) << 12) |
-         static_cast<std::uint64_t>(rank);
-}
+using sched::dfs_priority;
 
 double chol_flops(double n) { return n * n * n / 3.0; }
 
 // Kind mapping for trace/kernels: P = POTRF, L = TRSM, U = SYRK, S = GEMM.
+// Tile columns below `nstatic` are statically owned.
 sched::TaskGraph build_chol_graph(const layout::Tiling& tl,
-                                  const layout::Grid& grid, double dratio) {
+                                  const layout::Grid& grid, int nstatic) {
   const int nt = tl.mb();
-  const int nstatic = std::clamp(
-      static_cast<int>(std::floor(nt * (1.0 - dratio))), 0, nt);
   sched::TaskGraph g;
   std::vector<int> potrf_id(nt, -1), trsm_id(nt, -1);
   std::vector<int> syrk_prev(nt, -1);
@@ -50,7 +45,7 @@ sched::TaskGraph build_chol_graph(const layout::Tiling& tl,
     tp.step = k;
     tp.i = k;
     tp.j = k;
-    tp.priority = prio(k, k, 0);
+    tp.priority = dfs_priority(k, k, 0);
     tp.tag = tag_of(k, k);
     tp.owner = owner_of(k, k);
     potrf_id[k] = g.add_task(tp);
@@ -62,7 +57,7 @@ sched::TaskGraph build_chol_graph(const layout::Tiling& tl,
       tt.step = k;
       tt.i = I;
       tt.j = k;
-      tt.priority = prio(k, k, 1);
+      tt.priority = dfs_priority(k, k, 1);
       tt.tag = tag_of(I, k);
       tt.owner = owner_of(I, k);
       trsm_id[I] = g.add_task(tt);
@@ -77,7 +72,7 @@ sched::TaskGraph build_chol_graph(const layout::Tiling& tl,
       ts.step = k;
       ts.i = I;
       ts.j = I;
-      ts.priority = prio(I, k, 2);
+      ts.priority = dfs_priority(I, k, 2);
       ts.tag = tag_of(I, I);
       ts.owner = owner_of(I, I);
       const int sid = g.add_task(ts);
@@ -91,7 +86,7 @@ sched::TaskGraph build_chol_graph(const layout::Tiling& tl,
         tg.step = k;
         tg.i = I2;
         tg.j = I;
-        tg.priority = prio(I, k, 3);
+        tg.priority = dfs_priority(I, k, 3);
         tg.tag = tag_of(I2, I);
         tg.owner = owner_of(I2, I);
         const int gid = g.add_task(tg);
@@ -116,16 +111,14 @@ struct PotrfJob::Impl {
   int nstatic = 0;
 
   Impl(layout::PackedMatrix& m, const Options& opt) : a(m) {
+    require_square(a);
     const layout::Tiling& tl = a.tiling();
-    assert(tl.m == tl.n);
+    nstatic = sched::static_panels(tl.mb(), opt.resolved_dratio());
     const auto t0 = std::chrono::steady_clock::now();
-    graph = build_chol_graph(tl, a.grid(), opt.resolved_dratio());
+    graph = build_chol_graph(tl, a.grid(), nstatic);
     plan_seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
             .count();
-    nstatic = std::clamp(
-        static_cast<int>(std::floor(tl.mb() * (1.0 - opt.resolved_dratio()))),
-        0, tl.mb());
   }
 
   void exec(int id) {

@@ -50,7 +50,8 @@ class PotrfJob {
 /// Factor the SPD matrix (lower triangle referenced) in place on a
 /// caller-provided session: A = L*L^T.  Reuses calu::core::Options (b,
 /// dratio, layout, engine, noise, recorder); pivot-related fields are
-/// ignored and ipiv is empty.
+/// ignored and ipiv is empty.  A non-square packing throws
+/// std::invalid_argument.
 Factorization potrf(layout::PackedMatrix& a, const Options& opt,
                     sched::Session& session);
 

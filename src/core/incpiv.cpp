@@ -17,11 +17,7 @@ namespace {
 
 using layout::BlockRef;
 
-std::uint64_t prio(int j, int k, int rank) {
-  return (static_cast<std::uint64_t>(j) << 36) |
-         (static_cast<std::uint64_t>(k) << 12) |
-         static_cast<std::uint64_t>(rank);
-}
+using sched::dfs_priority;
 
 /// Builds the incremental-pivoting DAG (all tasks dynamic) over an
 /// nt × nt tile grid.  Kind mapping: P = GETRF, U = GESSM, L = TSTRF,
@@ -45,7 +41,7 @@ sched::TaskGraph build_incpiv_graph(int nt) {
     t.step = k;
     t.i = k;
     t.j = k;
-    t.priority = prio(k, k, 0);
+    t.priority = dfs_priority(k, k, 0);
     getrf_id[k] = g.add_task(t);
     if (k > 0) g.add_edge(ssssm_prev[cell(k, k)], getrf_id[k]);
 
@@ -55,7 +51,7 @@ sched::TaskGraph build_incpiv_graph(int nt) {
       tg.step = k;
       tg.i = k;
       tg.j = J;
-      tg.priority = prio(J, k, 1);
+      tg.priority = dfs_priority(J, k, 1);
       gessm_id[J] = g.add_task(tg);
       g.add_edge(getrf_id[k], gessm_id[J]);
       if (k > 0) g.add_edge(ssssm_prev[cell(k, J)], gessm_id[J]);
@@ -66,7 +62,7 @@ sched::TaskGraph build_incpiv_graph(int nt) {
       tt.step = k;
       tt.i = I;
       tt.j = k;
-      tt.priority = prio(k, k, 2);
+      tt.priority = dfs_priority(k, k, 2);
       tstrf_id[I] = g.add_task(tt);
       g.add_edge(I == k + 1 ? getrf_id[k] : tstrf_id[I - 1], tstrf_id[I]);
       if (k > 0) g.add_edge(ssssm_prev[cell(I, k)], tstrf_id[I]);
@@ -79,7 +75,7 @@ sched::TaskGraph build_incpiv_graph(int nt) {
         ts.step = k;
         ts.i = I;
         ts.j = J;
-        ts.priority = prio(J, k, 3);
+        ts.priority = dfs_priority(J, k, 3);
         const int id = g.add_task(ts);
         g.add_edge(tstrf_id[I], id);
         g.add_edge(above, id);  // serializes the column pair chain on A(k,J)
@@ -97,10 +93,10 @@ sched::TaskGraph build_incpiv_graph(int nt) {
 
 IncpivFactor getrf_incpiv(layout::PackedMatrix& a, const Options& opt_in,
                           sched::Session& session) {
+  require_square(a);
   const layout::Tiling& tl = a.tiling();
   Options opt = resolve(opt_in, tl.m, tl.n, session);
   opt.b = tl.b;  // the caller's packing fixed the tile size
-  assert(tl.m == tl.n && "incremental pivoting implemented for square A");
   const int nt = tl.mb();
 
   IncpivFactor f;

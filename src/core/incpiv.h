@@ -47,7 +47,8 @@ class IncpivFactor {
 };
 
 /// Factor the packed matrix in place with dynamically scheduled incremental
-/// pivoting (square matrices) on a caller-provided session.  The
+/// pivoting (square matrices: a non-square packing throws
+/// std::invalid_argument) on a caller-provided session.  The
 /// PackedMatrix stays owned by the caller and must outlive the returned
 /// factor.  Honors Options::engine / lookahead_depth / recorder / noise
 /// (the DAG is all-dynamic, so dratio has no effect).

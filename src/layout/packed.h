@@ -13,7 +13,11 @@
 //    grouped GEMM (Section 4.2).
 //
 // All three are accessed through the same tile interface, so the DAG engine
-// is layout-agnostic.
+// is layout-agnostic.  Tile geometry is decided in exactly one place:
+// PackedMatrixT::pack (packed.cpp) writes a table holding, for every tile,
+// its owner buffer, offset and leading dimension.  Everything else —
+// block(), column_segment(), swap_rows_global(), get(), unpack() and
+// convert_from() — reads that table and never looks at the layout.
 //
 // The container is templated over the element type: the engine factors
 // double matrices, while the mixed-precision path (core::gesv_mixed)
@@ -25,6 +29,7 @@
 // converted copy of a double one.
 #pragma once
 
+#include <cassert>
 #include <cstddef>
 #include <functional>
 #include <vector>
@@ -66,6 +71,15 @@ using BlockRef = BlockRefT<double>;
 template <class T>
 class PackedMatrixT;
 
+/// Where one tile of a packed matrix lives: its buffer, its offset in
+/// that buffer (in elements) and its leading dimension.  The same for
+/// every element type, so convert_from copies it as is.
+struct TileSlot {
+  int buf = 0;
+  int ld = 0;
+  std::size_t off = 0;
+};
+
 /// Runs `fill(owner)` once for every grid owner id in [0, nowners), on
 /// the thread that will serve that owner's tasks.  Supplied by the
 /// scheduling layer (layout stays below sched in the dependency order):
@@ -77,13 +91,6 @@ class PackedMatrixT;
 /// classic serial pack).
 using OwnerRunner =
     std::function<void(int nowners, const std::function<void(int owner)>&)>;
-
-template <class T>
-PackedMatrixT<T> pack_bcl(const Matrix& a, int b, Grid grid,
-                          const OwnerRunner& place = {});
-template <class T>
-PackedMatrixT<T> pack_2l(const Matrix& a, int b, Grid grid,
-                         const OwnerRunner& place = {});
 
 /// A dense matrix packed into one of the three layouts.  Thread-safe for
 /// concurrent access to distinct tiles (tiles never alias).
@@ -123,8 +130,7 @@ class PackedMatrixT {
     p.layout_ = o.layout_;
     p.tiling_ = o.tiling_;
     p.grid_ = o.grid_;
-    p.local_rows_ = o.local_rows_;
-    p.local_tile_rows_ = o.local_tile_rows_;
+    p.tiles_ = o.tiles_;
     p.bufs_.resize(o.bufs_.size());
     for (std::size_t t = 0; t < o.bufs_.size(); ++t)
       p.bufs_[t].assign(o.bufs_[t].begin(), o.bufs_[t].end());
@@ -144,19 +150,21 @@ class PackedMatrixT {
   }
 
   /// View of tile (I, J).
-  BlockRefT<T> block(int I, int J);
+  BlockRefT<T> block(int I, int J) {
+    const Tiling& t = tiling_;
+    assert(I >= 0 && I < t.mb() && J >= 0 && J < t.nb());
+    const TileSlot& e = tiles_[I + static_cast<std::size_t>(J) * t.mb()];
+    return {bufs_[e.buf].data() + e.off, e.ld, t.tile_rows(I),
+            t.tile_cols(J)};
+  }
   BlockRefT<T> block(int I, int J) const {
     return const_cast<PackedMatrixT*>(this)->block(I, J);
   }
 
-  /// BCL only: the number of tiles {I, I+pr, I+2*pr, ...} in tile column J,
-  /// starting at I, that the owner of (I, J) stores contiguously (capped at
-  /// `max_tiles`).  Returns 1 for other layouts.
-  int owned_run_down(int I, int J, int max_tiles) const;
-
-  /// View covering the `ntiles` tiles {I, I+step, ...} of tile column J
-  /// where step = grid.pr (BCL) — a single (sum of heights) x tile_cols(J)
-  /// column-major block.  Requires owned_run_down(I,J,..) >= ntiles.
+  /// View covering the `ntiles` tiles {I, I+pr, ...} of tile column J —
+  /// one (sum of heights) x tile_cols(J) column-major block.  The tiles
+  /// must be stacked in one buffer, which only BCL does (its grouped S
+  /// tasks are the caller); one tile is a plain block() on any layout.
   BlockRefT<T> column_segment(int I, int J, int ntiles);
 
   /// Swap global rows r1 and r2 across global columns [c0, c1).  Routed
@@ -174,19 +182,13 @@ class PackedMatrixT {
   Layout layout_ = Layout::ColumnMajor;
   Tiling tiling_;
   Grid grid_;
-  // CM: bufs_[0] holds the whole matrix (ld = m).
-  // BCL: bufs_[t] is thread t's submatrix, ld = local_rows_[t].
-  // 2l-BL: bufs_[t] is thread t's padded tile array (b*b per tile).
+  // Where tile (I, J) lives: tiles_[I + J * mb].  CM has one buffer
+  // (ld = m); BCL and 2l-BL one per grid owner, row-major over the grid.
+  std::vector<TileSlot> tiles_;
   std::vector<std::vector<T>> bufs_;
-  std::vector<int> local_rows_;       // BCL ld / 2l-BL owned tile rows
-  std::vector<int> local_tile_rows_;  // per-thread owned tile-row count
 
   template <class U>
   friend class PackedMatrixT;
-  friend PackedMatrixT pack_bcl<T>(const Matrix&, int, Grid,
-                                   const OwnerRunner&);
-  friend PackedMatrixT pack_2l<T>(const Matrix&, int, Grid,
-                                  const OwnerRunner&);
 };
 
 using PackedMatrix = PackedMatrixT<double>;

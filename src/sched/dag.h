@@ -8,6 +8,8 @@
 // the engine (engine.h) executes.
 #pragma once
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <vector>
 
@@ -18,6 +20,23 @@ namespace calu::sched {
 
 /// Owner value marking a task as dynamically scheduled.
 inline constexpr int kDynamicOwner = -1;
+
+/// The builders' priority key: DFS order (tile column j, step k, kind
+/// rank).  Lower pops first; the rank orders tasks sharing (j, k).  Keys
+/// stay under 2^48, which TaskGraph::append's re-keying relies on.
+inline std::uint64_t dfs_priority(int j, int k, int rank) {
+  return (static_cast<std::uint64_t>(j) << 36) |
+         (static_cast<std::uint64_t>(k) << 12) |
+         static_cast<std::uint64_t>(rank);
+}
+
+/// The hybrid split: how many of `npanels` leading panels are statically
+/// scheduled when a fraction `dratio` of the work is left dynamic,
+/// floor(npanels * (1 - dratio)) clamped to [0, npanels].
+inline int static_panels(int npanels, double dratio) {
+  return std::clamp(static_cast<int>(std::floor(npanels * (1.0 - dratio))),
+                    0, npanels);
+}
 
 struct Task {
   std::uint64_t priority = 0;  // lower pops first (DFS order / look-ahead)

@@ -2,7 +2,11 @@
 // (incremental-pivoting tiled LU).
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "src/blas/blas.h"
+#include "src/core/batch.h"
 #include "src/core/getrf_pp.h"
 #include "src/core/incpiv.h"
 #include "src/core/solve.h"
@@ -130,6 +134,27 @@ TEST(Incpiv, DiagonallyDominantStaysPivotFree) {
              x.data(), x.ld(), 0.0, rhs.data(), rhs.ld());
   f.solve(rhs);
   EXPECT_LT(test::max_abs_diff(rhs, x), 1e-10);
+}
+
+TEST(Incpiv, RejectsNonSquarePacking) {
+  // Checked in Release builds too, before a graph is built: unchecked, a
+  // 64x48 packing used to return a "factor" with no error.
+  const Matrix a = Matrix::random(64, 48, 212);
+  PackedMatrix p = PackedMatrix::pack(a, Layout::BlockCyclic, 32, Grid{1, 2});
+  sched::Session session(sched::SessionOptions{2, false});
+  try {
+    core::getrf_incpiv(p, core::Options{}, session);
+    ADD_FAILURE() << "getrf_incpiv accepted a 64x48 packing";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  core::job_error_message(core::JobError::NotSquare)),
+              std::string::npos)
+        << e.what();
+  }
+  Matrix out(64, 48);
+  p.unpack(out);
+  EXPECT_TRUE(test::same_bits(out, a));
+  EXPECT_EQ(session.runs(), 0u);
 }
 
 TEST(Incpiv, TaskCountMatchesTiledLu) {

@@ -9,8 +9,11 @@
 #include <vector>
 
 #include "src/blas/blas.h"
+#include "src/core/batch.h"
 #include "src/core/cholesky.h"
 #include "src/layout/matrix.h"
+#include "src/layout/packed.h"
+#include "src/sched/session.h"
 #include "tests/test_util.h"
 
 namespace calu {
@@ -213,6 +216,33 @@ TEST(Cholesky, RejectsNonSquareA) {
   const Matrix a0 = a;
   EXPECT_THROW(core::potrf(a, o, session), std::invalid_argument);
   EXPECT_TRUE(test::same_bits(a, a0));
+  EXPECT_EQ(session.runs(), 0u);
+}
+
+TEST(Cholesky, PackedRejectsNonSquareA) {
+  // The PackedMatrix-level driver checks too, in Release builds, before
+  // it builds a graph: unchecked, a 64x48 packing crashes the tile
+  // kernels (SIGSEGV).
+  sched::Session session(sched::SessionOptions{2, false});
+  Options o;
+  o.b = 32;
+  o.threads = 2;
+  o.pin_threads = false;
+  const Matrix a = Matrix::random(64, 48, 992);
+  layout::PackedMatrix p =
+      layout::PackedMatrix::pack(a, Layout::BlockCyclic, 32, {1, 2});
+  try {
+    core::potrf(p, o, session);
+    ADD_FAILURE() << "potrf accepted a 64x48 packing";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  core::job_error_message(core::JobError::NotSquare)),
+              std::string::npos)
+        << e.what();
+  }
+  Matrix out(64, 48);
+  p.unpack(out);
+  EXPECT_TRUE(test::same_bits(out, a));
   EXPECT_EQ(session.runs(), 0u);
 }
 

@@ -1,10 +1,12 @@
 // layout_test.cpp — the three storage layouts: round trips, tile access,
-// segments, global row swaps.
+// segments, global row swaps, owner-placed pack and unpack.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
+#include <functional>
 #include <tuple>
 
 #include "src/layout/grid.h"
@@ -112,6 +114,39 @@ TEST_P(PackTest, GlobalRowSwapMatchesDense) {
   EXPECT_EQ(test::max_abs_diff(a, out), 0.0);
 }
 
+// Visits the owners in reverse order on the calling thread: a
+// deterministic stand-in for the team runner that still fills and drains
+// the buffers out of the serial order.
+void reverse_owners(int nowners, const std::function<void(int)>& fill) {
+  for (int g = nowners - 1; g >= 0; --g) fill(g);
+}
+
+TEST_P(PackTest, OwnerRunnerGivesSerialBits) {
+  const auto c = GetParam();
+  const Matrix a = Matrix::random(c.m, c.n, 86);
+  const Grid g{c.pr, c.pc};
+  const PackedMatrix serial = PackedMatrix::pack(a, c.layout, c.b, g);
+  const PackedMatrix placed =
+      PackedMatrix::pack(a, c.layout, c.b, g, reverse_owners);
+  const Tiling& t = serial.tiling();
+  for (int J = 0; J < t.nb(); ++J)
+    for (int I = 0; I < t.mb(); ++I) {
+      const BlockRef s = serial.block(I, J), p = placed.block(I, J);
+      ASSERT_EQ(p.ld, s.ld);
+      ASSERT_EQ(p.rows, s.rows);
+      ASSERT_EQ(p.cols, s.cols);
+      for (int j = 0; j < s.cols; ++j)
+        ASSERT_EQ(std::memcmp(p.ptr + static_cast<std::size_t>(j) * p.ld,
+                              s.ptr + static_cast<std::size_t>(j) * s.ld,
+                              sizeof(double) * s.rows),
+                  0)
+            << "tile " << I << "," << J;
+    }
+  Matrix out = Matrix::uninitialized(c.m, c.n);
+  placed.unpack(out, reverse_owners);
+  EXPECT_TRUE(test::same_bits(out, a));
+}
+
 std::vector<LayoutCase> layout_cases() {
   std::vector<LayoutCase> cases;
   for (Layout l :
@@ -143,8 +178,6 @@ TEST(Segments, BclOwnedRunIsContiguous) {
   BlockRef b2 = p.block(2, 0);
   EXPECT_EQ(b2.ptr, b0.ptr + b);
   EXPECT_EQ(b0.ld, b2.ld);
-  const int run = p.owned_run_down(0, 0, 4);
-  EXPECT_EQ(run, 4);  // tiles 0,2,4,6
   BlockRef seg = p.column_segment(0, 0, 3);
   EXPECT_EQ(seg.rows, 3 * b);
   EXPECT_EQ(seg.ptr, b0.ptr);
@@ -155,28 +188,6 @@ TEST(Segments, BclOwnedRunIsContiguous) {
     EXPECT_EQ(seg.ptr[2 * b + static_cast<std::size_t>(j) * seg.ld],
               a(4 * b, j));
   }
-}
-
-TEST(Segments, BclRunStopsAtMatrixEdge) {
-  Matrix a = Matrix::random(40, 40, 82);
-  PackedMatrix p = PackedMatrix::pack(a, Layout::BlockCyclic, 8, Grid{2, 2});
-  // mb = 5; thread row 0 owns tiles 0, 2, 4 → from tile 2, run of 2.
-  EXPECT_EQ(p.owned_run_down(2, 0, 10), 2);
-}
-
-TEST(Segments, TwoLevelNeverGroups) {
-  Matrix a = Matrix::random(64, 64, 83);
-  PackedMatrix p =
-      PackedMatrix::pack(a, Layout::TwoLevelBlock, 8, Grid{2, 2});
-  EXPECT_EQ(p.owned_run_down(0, 0, 4), 1);
-}
-
-TEST(Segments, ColumnMajorRunsAreDense) {
-  Matrix a = Matrix::random(64, 64, 84);
-  PackedMatrix p = PackedMatrix::pack(a, Layout::ColumnMajor, 8, Grid{2, 2});
-  EXPECT_EQ(p.owned_run_down(3, 1, 100), 5);  // tiles 3..7
-  BlockRef seg = p.column_segment(3, 1, 5);
-  EXPECT_EQ(seg.rows, 5 * 8);
 }
 
 TEST(TwoLevel, TilesAreContiguousAndCacheSized) {

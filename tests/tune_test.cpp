@@ -13,10 +13,13 @@
 #include <atomic>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
+
+#include <unistd.h>
 
 #include "src/core/batch.h"
 #include "src/core/calu.h"
@@ -36,6 +39,41 @@ using tune::MemoryProfileStore;
 using tune::Profile;
 using tune::SeedParams;
 using tune::TunerConfig;
+
+/// The global tuner saves to $CALU_TUNE_PROFILE, else to
+/// calu_tune_profile.json in the working directory.  The global-tuner
+/// tests below feed it synthetic costs, which a later real TuneMode::Auto
+/// run from that directory would read as profile hits.  So, unless the
+/// variable is already set (e.g. to /dev/null), point it at a temp file
+/// of this process before the tuner is first used, and delete the file
+/// at exit.
+class TempGlobalProfile : public ::testing::Environment {
+ public:
+  void SetUp() override {
+    if (const char* env = std::getenv("CALU_TUNE_PROFILE");
+        env != nullptr && env[0] != '\0')
+      return;
+    const char* tmp = std::getenv("TMPDIR");
+    std::string dir = std::string(tmp != nullptr && tmp[0] != '\0' ? tmp
+                                                                   : "/tmp") +
+                      "/calu_tune_test_XXXXXX";
+    ASSERT_NE(::mkdtemp(dir.data()), nullptr) << "mkdtemp " << dir;
+    dir_ = dir;
+    path_ = dir_ + "/profile.json";
+    ASSERT_EQ(::setenv("CALU_TUNE_PROFILE", path_.c_str(), 1), 0);
+  }
+  void TearDown() override {
+    if (dir_.empty()) return;
+    std::remove(path_.c_str());
+    ::rmdir(dir_.c_str());
+  }
+
+ private:
+  std::string dir_, path_;
+};
+
+[[maybe_unused]] ::testing::Environment* const kTempGlobalProfile =
+    ::testing::AddGlobalTestEnvironment(new TempGlobalProfile);
 
 Key make_key(int n = 512, int threads = 4, std::string kernel = "testk",
              std::string topo = "1pkg/1l3/4core/1smt") {
